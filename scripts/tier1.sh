@@ -9,7 +9,8 @@
 # arithmetic, file parsing of attacker-shaped bytes), TSan over stress,
 # the concurrency-engine battery (overlapping work-stealing rounds,
 # sharded plan-cache races, async stream submission) and the
-# self-healing battery (prober teardown races, registry churn).
+# self-healing battery (forced recovery racing submitters, registry
+# churn).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -95,11 +96,11 @@ echo "=== tier1: recovery chaos (degrade under an ambient storm, then heal) ==="
 # The PR 10 acceptance scenario: serve through an ambient fault storm
 # (kernel probes failing every 3rd evaluation, worker spawns every 4th,
 # submit enqueues every 5th), then disarm and require the process to
-# heal itself completely: robustness_stats().recoveries must go
-# positive, shalom_health_report must end all-HEALTHY, and every result
+# heal itself completely: robustness_stats().recoveries must grow while
+# it heals, shalom_health_report must end all-HEALTHY, and every result
 # accepted mid-storm or post-heal must match the oracle. The health
-# battery proper (registry state machine, breaker half-open trials,
-# pool respawn, prober lifecycle, env wrappers) runs under -L health in
+# battery proper (latch state machine, breaker half-open trials, pool
+# respawn, forced recovery races, env wrappers) runs under -L health in
 # the full suite above; this stage is specifically the storm-then-heal
 # end-to-end pass.
 SHALOM_FAULT=selfcheck.probe:every-3,threadpool.spawn:every-4,submit.queue:every-5 \
@@ -132,7 +133,8 @@ echo "=== tier1: TSan build, stress + engine + health labels ==="
 # tests must be TSan-clean; the scheduler uses explicit seq_cst atomic
 # operations (never fences) precisely so TSan models every ordering it
 # relies on. The health label rides along for the recovery layer's
-# races: prober teardown against live submitters and registry churn.
+# races: forced recover_now passes against live submitters and registry
+# churn.
 cmake -B build-tsan -S . \
       -DSHALOM_SANITIZE=thread \
       -DSHALOM_FAULT_INJECTION=ON \

@@ -170,8 +170,9 @@ struct RobustnessStats {
   /// thread pool, or a circuit breaker closed after a clean half-open
   /// trial streak.
   std::uint64_t recoveries = 0;
-  /// Probation probes attempted by the recovery layer (active Prober
-  /// ticks plus passive on-path cool-down checks), successful or not.
+  /// Probation probes attempted by the recovery layer (passive on-path
+  /// cool-down checks plus forced shalom_recover_now passes), successful
+  /// or not.
   std::uint64_t probation_probes = 0;
   /// Probation probes that failed: the component re-latches into its
   /// degraded state and its recovery cool-down doubles.

@@ -1,95 +1,88 @@
 #include "common/health.h"
 
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <thread>
+#include <cstddef>
 
 #include "common/error.h"
 #include "common/fault.h"
-#include "common/thread_annotations.h"
 
 namespace shalom {
 namespace health {
 
 namespace {
 
-/// Hard cap on the exponential backoff: 64x the base cool-down. A
-/// component that keeps failing probation converges to one probe per
-/// capped window instead of doubling without bound (which would turn a
+/// LatchWord::state values (the State enumerators).
+constexpr std::uint64_t kHealthy = 0;
+constexpr std::uint64_t kDegraded = 1;
+constexpr std::uint64_t kProbation = 2;
+constexpr std::uint64_t kQuarantined = 3;
+
+/// Hard cap on the exponential backoff: 2^6 = 64x the base cool-down. A
+/// latch that keeps failing probation converges to one probe per capped
+/// window instead of doubling without bound (which would turn a
 /// recoverable fault into a de-facto permanent latch).
-constexpr std::uint64_t kBackoffCapFactor = 64;
+constexpr std::uint64_t kMaxDoublings = 6;
 
-/// One registry row. All fields are lock-free atomics with explicit
-/// memory orders (outside the capability annotations of
-/// common/thread_annotations.h, same discipline as the fault-site table):
-/// `state` transitions use acq_rel CAS so the cause/backoff written
-/// before a transition are visible to whoever observes the new state;
-/// the scalar bookkeeping fields are relaxed (statistics and deadlines,
-/// tolerant of benign races by design).
-struct Slot {
-  std::atomic<int> state{static_cast<int>(State::kHealthy)};
-  std::atomic<int> cause{static_cast<int>(Cause::kNone)};
-  std::atomic<std::uint64_t> backoff_ms{0};
-  std::atomic<std::uint64_t> deadline_ms{0};
-  std::atomic<RecoverHook> hook{nullptr};
-};
-
-Slot g_slots[kComponentCount];
-
-Slot& slot(Component c) noexcept { return g_slots[static_cast<int>(c)]; }
+/// Monotonic milliseconds: the clock every cool-down deadline and window
+/// id is measured on.
+std::uint64_t now_ms() noexcept {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 std::uint64_t base_backoff_ms() noexcept {
   const long ms = env_recovery_ms();
   return ms > 0 ? static_cast<std::uint64_t>(ms) : 0;
 }
 
+/// DEGRADED with `doublings` and the matching cool-down deadline.
+LatchWord degraded(std::uint64_t doublings) noexcept {
+  return {kDegraded, doublings, 0, 0,
+          now_ms() + (base_backoff_ms() << doublings)};
+}
+
+/// The word a probation ends in: HEALTHY (all fields zero - base
+/// backoff, no window) or DEGRADED with the backoff doubled.
+LatchWord after_probation(LatchWord w, bool succeeded) noexcept {
+  if (succeeded) return LatchWord{};
+  return degraded(w.doublings < kMaxDoublings ? w.doublings + 1
+                                              : kMaxDoublings);
+}
+
+/// The enumerator's name from its table, "unknown" out of range.
+template <typename Enum, std::size_t N>
+const char* name_of(Enum e, const char* const (&names)[N]) noexcept {
+  const auto i = static_cast<std::size_t>(e);
+  return i < N ? names[i] : "unknown";
+}
+
+/// Counts how a probation ended, once its CAS has landed.
+void count_end(bool succeeded) noexcept {
+  succeeded ? telemetry::note_recovery()
+            : telemetry::note_probation_failure();
+}
+
 }  // namespace
 
 const char* component_name(Component c) noexcept {
-  switch (c) {
-    case Component::kKernels:
-      return "kernels";
-    case Component::kThreadPool:
-      return "threadpool";
-    case Component::kStreamBreaker:
-      return "stream_breaker";
-    case Component::kPlanCache:
-      return "plan_cache";
-    case Component::kTunedTable:
-      return "tuned_table";
-  }
-  return "unknown";
+  static const char* const kNames[] = {"kernels", "threadpool",
+                                       "stream_breaker", "plan_cache",
+                                       "tuned_table"};
+  return name_of(c, kNames);
 }
 
 const char* state_name(State s) noexcept {
-  switch (s) {
-    case State::kHealthy:
-      return "HEALTHY";
-    case State::kDegraded:
-      return "DEGRADED";
-    case State::kProbation:
-      return "PROBATION";
-    case State::kQuarantined:
-      return "QUARANTINED";
-  }
-  return "unknown";
+  static const char* const kNames[] = {"HEALTHY", "DEGRADED", "PROBATION",
+                                       "QUARANTINED"};
+  return name_of(s, kNames);
 }
 
 const char* cause_name(Cause c) noexcept {
-  switch (c) {
-    case Cause::kNone:
-      return "none";
-    case Cause::kMismatch:
-      return "mismatch";
-    case Cause::kTrap:
-      return "trap";
-    case Cause::kInjected:
-      return "injected";
-    case Cause::kOverload:
-      return "overload";
-  }
-  return "unknown";
+  static const char* const kNames[] = {"none", "mismatch", "trap",
+                                       "injected", "overload"};
+  return name_of(c, kNames);
 }
 
 long env_recovery_ms() noexcept {
@@ -104,147 +97,200 @@ long env_probation_n() noexcept {
 
 bool recovery_enabled() noexcept { return env_recovery_ms() > 0; }
 
-std::uint64_t now_ms() noexcept {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+// ---------------------------------------------------------------------------
+// Latch
+// ---------------------------------------------------------------------------
+
+template <typename Step>
+bool Latch::update(Step step) noexcept {
+  LatchWord w = word_.load(std::memory_order_acquire);
+  for (;;) {
+    LatchWord next = w;
+    if (!step(next)) return false;
+    if (word_.compare_exchange_weak(w, next, std::memory_order_acq_rel,
+                                    std::memory_order_acquire))
+      return true;
+  }
 }
 
+State Latch::state() const noexcept {
+  return static_cast<State>(word_.load(std::memory_order_acquire).state);
+}
+
+Cause Latch::cause() const noexcept {
+  return static_cast<Cause>(cause_.load(std::memory_order_relaxed));
+}
+
+ComponentReport Latch::report() const noexcept {
+  const LatchWord w = word_.load(std::memory_order_acquire);
+  ComponentReport r;
+  r.state = static_cast<State>(w.state);
+  r.cause = cause();
+  r.backoff_ms = base_backoff_ms() << w.doublings;
+  const std::uint64_t now = now_ms();
+  if (w.state == kDegraded && w.ms > now) r.cooldown_remaining_ms = w.ms - now;
+  return r;
+}
+
+bool Latch::degrade(Cause cause) noexcept {
+  if (state() == State::kQuarantined)
+    return false;  // terminal evidence outranks any later degradation
+  cause_.store(static_cast<int>(cause), std::memory_order_relaxed);
+  // Already DEGRADED/PROBATION: only the cause refreshed; the running
+  // cool-down keeps its deadline.
+  return update([](LatchWord& w) {
+    if (w.state != kHealthy) return false;
+    w = degraded(0);
+    return true;
+  });
+}
+
+void Latch::quarantine(Cause cause) noexcept {
+  cause_.store(static_cast<int>(cause), std::memory_order_relaxed);
+  word_.store(LatchWord{kQuarantined, 0, 0, 0, 0}, std::memory_order_release);
+}
+
+bool Latch::recover() noexcept {
+  return update([](LatchWord& w) {
+    if (w.state != kDegraded && w.state != kProbation) return false;
+    w = LatchWord{};
+    return true;
+  });
+}
+
+bool Latch::try_begin_probation() noexcept {
+  if (!recovery_enabled()) return false;
+  const std::uint64_t now = now_ms();
+  // A fresh window: the counts are zeroed by the same CAS that publishes
+  // PROBATION, so no admission of the new window can be lost.
+  return update([now](LatchWord& w) {
+    if (w.state != kDegraded || now < w.ms) return false;
+    w = LatchWord{kProbation, w.doublings, 0, 0, now};
+    return true;
+  });
+}
+
+void Latch::end_probation(bool succeeded) noexcept {
+  if (update([succeeded](LatchWord& w) {
+        if (w.state != kProbation) return false;
+        w = after_probation(w, succeeded);
+        return true;
+      }))
+    count_end(succeeded);
+}
+
+bool Latch::admit_trial(Window* window) noexcept {
+  const std::uint64_t budget = static_cast<std::uint64_t>(env_probation_n());
+  return update([budget, window](LatchWord& w) {
+    if (w.state != kProbation || w.admitted >= budget) return false;
+    ++w.admitted;
+    *window = w.ms;
+    return true;
+  });
+}
+
+bool Latch::end_trial(Window window, bool clean) noexcept {
+  const std::uint64_t streak = static_cast<std::uint64_t>(env_probation_n());
+  bool ends = false;
+  if (!update([&](LatchWord& w) {
+        if (w.state != kProbation || w.ms != window)
+          return false;  // that window already ended
+        ends = !clean || w.clean >= streak - 1;
+        if (ends) {
+          w = after_probation(w, clean);
+        } else {
+          ++w.clean;
+        }
+        return true;
+      }))
+    return false;
+  if (ends) count_end(clean);
+  return ends;
+}
+
+void Latch::expire() noexcept {
+  const std::uint64_t now = now_ms();
+  (void)update([now](LatchWord& w) {
+    if (w.state != kDegraded) return false;
+    w.ms = now;
+    return true;
+  });
+}
+
+void Latch::reset() noexcept {
+  word_.store(LatchWord{}, std::memory_order_release);
+  cause_.store(static_cast<int>(Cause::kNone), std::memory_order_relaxed);
+}
+
+// ---------------------------------------------------------------------------
+// Registry
+// ---------------------------------------------------------------------------
+
+namespace {
+
+Latch g_latches[kComponentCount];
+std::atomic<RecoverHook> g_hooks[kComponentCount];
+
+}  // namespace
+
+Latch& latch(Component c) noexcept { return g_latches[static_cast<int>(c)]; }
+
 void report_degraded(Component c, Cause cause) noexcept {
-  Slot& s = slot(c);
-  if (s.state.load(std::memory_order_acquire) ==
-      static_cast<int>(State::kQuarantined))
-    return;  // terminal evidence outranks any later degradation report
-  s.cause.store(static_cast<int>(cause), std::memory_order_relaxed);
-  int expected = static_cast<int>(State::kHealthy);
-  if (s.state.compare_exchange_strong(
-          expected, static_cast<int>(State::kDegraded),
-          std::memory_order_acq_rel, std::memory_order_acquire)) {
-    const std::uint64_t base = base_backoff_ms();
-    s.backoff_ms.store(base, std::memory_order_relaxed);
-    s.deadline_ms.store(now_ms() + base, std::memory_order_relaxed);
-  }
-  // Already DEGRADED/PROBATION: only the cause refreshed (above); the
-  // running cool-down keeps its deadline.
+  (void)latch(c).degrade(cause);
 }
 
 void report_quarantined(Component c, Cause cause) noexcept {
-  Slot& s = slot(c);
-  s.cause.store(static_cast<int>(cause), std::memory_order_relaxed);
-  s.state.store(static_cast<int>(State::kQuarantined),
-                std::memory_order_release);
+  latch(c).quarantine(cause);
 }
 
 void report_recovered(Component c) noexcept {
-  Slot& s = slot(c);
-  int st = s.state.load(std::memory_order_acquire);
-  while (st == static_cast<int>(State::kDegraded) ||
-         st == static_cast<int>(State::kProbation)) {
-    if (s.state.compare_exchange_weak(
-            st, static_cast<int>(State::kHealthy),
-            std::memory_order_acq_rel, std::memory_order_acquire)) {
-      s.backoff_ms.store(base_backoff_ms(), std::memory_order_relaxed);
-      telemetry::note_recovery();
-      return;
-    }
-  }
+  if (latch(c).recover()) telemetry::note_recovery();
 }
 
 bool try_begin_probation(Component c) noexcept {
-  if (!recovery_enabled()) return false;
-  Slot& s = slot(c);
-  if (s.state.load(std::memory_order_acquire) !=
-      static_cast<int>(State::kDegraded))
-    return false;
-  if (now_ms() < s.deadline_ms.load(std::memory_order_relaxed))
-    return false;
-  int expected = static_cast<int>(State::kDegraded);
-  return s.state.compare_exchange_strong(
-      expected, static_cast<int>(State::kProbation),
-      std::memory_order_acq_rel, std::memory_order_acquire);
+  return latch(c).try_begin_probation();
 }
 
 void probation_succeeded(Component c) noexcept {
-  Slot& s = slot(c);
-  int expected = static_cast<int>(State::kProbation);
-  if (s.state.compare_exchange_strong(
-          expected, static_cast<int>(State::kHealthy),
-          std::memory_order_acq_rel, std::memory_order_acquire)) {
-    s.backoff_ms.store(base_backoff_ms(), std::memory_order_relaxed);
-    telemetry::note_recovery();
-  }
+  latch(c).end_probation(true);
 }
 
-void probation_failed(Component c) noexcept {
-  Slot& s = slot(c);
-  const std::uint64_t base = base_backoff_ms();
-  const std::uint64_t cap =
-      base > 0 ? base * kBackoffCapFactor : kBackoffCapFactor;
-  std::uint64_t backoff = s.backoff_ms.load(std::memory_order_relaxed);
-  backoff = backoff == 0 ? (base > 0 ? base : 1) : backoff * 2;
-  if (backoff > cap) backoff = cap;
-  s.backoff_ms.store(backoff, std::memory_order_relaxed);
-  s.deadline_ms.store(now_ms() + backoff, std::memory_order_relaxed);
-  int expected = static_cast<int>(State::kProbation);
-  if (s.state.compare_exchange_strong(
-          expected, static_cast<int>(State::kDegraded),
-          std::memory_order_acq_rel, std::memory_order_acquire))
-    telemetry::note_probation_failure();
-}
+void probation_failed(Component c) noexcept { latch(c).end_probation(false); }
 
 bool probe_faulted() noexcept {
   telemetry::note_probation_probe();
   return SHALOM_FAULT_POINT(fault::Site::kHealthProbe);
 }
 
-State state(Component c) noexcept {
-  return static_cast<State>(
-      slot(c).state.load(std::memory_order_acquire));
+bool run_probation(Component c, bool (*probe)() noexcept) noexcept {
+  Latch& l = latch(c);
+  if (l.state() == State::kHealthy) return true;
+  if (!l.try_begin_probation()) return false;
+  const bool ok = probe();
+  l.end_probation(ok);
+  return ok;
 }
 
-Cause cause(Component c) noexcept {
-  return static_cast<Cause>(
-      slot(c).cause.load(std::memory_order_relaxed));
-}
+State state(Component c) noexcept { return latch(c).state(); }
+
+Cause cause(Component c) noexcept { return latch(c).cause(); }
 
 ComponentReport component_report(Component c) noexcept {
-  Slot& s = slot(c);
-  ComponentReport r;
-  r.state =
-      static_cast<State>(s.state.load(std::memory_order_acquire));
-  r.cause =
-      static_cast<Cause>(s.cause.load(std::memory_order_relaxed));
-  r.backoff_ms = s.backoff_ms.load(std::memory_order_relaxed);
-  if (r.state == State::kDegraded) {
-    const std::uint64_t deadline =
-        s.deadline_ms.load(std::memory_order_relaxed);
-    const std::uint64_t now = now_ms();
-    r.cooldown_remaining_ms = deadline > now ? deadline - now : 0;
-  }
-  return r;
+  return latch(c).report();
 }
 
 bool all_healthy() noexcept {
-  for (int c = 0; c < kComponentCount; ++c) {
-    if (g_slots[c].state.load(std::memory_order_acquire) !=
-        static_cast<int>(State::kHealthy))
-      return false;
-  }
+  for (const Latch& l : g_latches)
+    if (l.state() != State::kHealthy) return false;
   return true;
 }
 
 void set_recover_hook(Component c, RecoverHook hook) noexcept {
-  slot(c).hook.store(hook, std::memory_order_release);
+  g_hooks[static_cast<int>(c)].store(hook, std::memory_order_release);
 }
 
 void expire_cooldowns() noexcept {
-  const std::uint64_t now = now_ms();
-  for (int c = 0; c < kComponentCount; ++c) {
-    if (g_slots[c].state.load(std::memory_order_acquire) ==
-        static_cast<int>(State::kDegraded))
-      g_slots[c].deadline_ms.store(now, std::memory_order_relaxed);
-  }
+  for (Latch& l : g_latches) l.expire();
 }
 
 int recover_now() noexcept {
@@ -252,146 +298,17 @@ int recover_now() noexcept {
   expire_cooldowns();
   int recovered = 0;
   for (int c = 0; c < kComponentCount; ++c) {
-    Slot& s = g_slots[c];
-    const int st = s.state.load(std::memory_order_acquire);
-    if (st == static_cast<int>(State::kHealthy)) continue;
-    const RecoverHook hook = s.hook.load(std::memory_order_acquire);
-    if (hook == nullptr) continue;  // passive-only component
-    try {
-      if (hook()) ++recovered;
-    } catch (...) {
-      // A recovery attempt must never take the process down; the
-      // component simply stays degraded until the next tick.
-    }
+    if (g_latches[c].state() == State::kHealthy) continue;
+    const RecoverHook hook = g_hooks[c].load(std::memory_order_acquire);
+    if (hook != nullptr && hook()) ++recovered;  // no hook: passive-only
   }
   return recovered;
 }
 
 void reset_for_testing() noexcept {
-  for (int c = 0; c < kComponentCount; ++c) {
-    Slot& s = g_slots[c];
-    s.state.store(static_cast<int>(State::kHealthy),
-                  std::memory_order_release);
-    s.cause.store(static_cast<int>(Cause::kNone),
-                  std::memory_order_relaxed);
-    s.backoff_ms.store(0, std::memory_order_relaxed);
-    s.deadline_ms.store(0, std::memory_order_relaxed);
-    // Hooks survive the reset: they are process-wide wiring installed at
-    // static-init time by the component owners, not mutable health state.
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Prober
-// ---------------------------------------------------------------------------
-
-struct Prober::Impl {
-  enum class LifeState { kIdle, kRunning, kDraining };
-
-  ProberOptions opt;
-
-  mutable Mutex mu;
-  std::condition_variable_any cv;
-  LifeState state SHALOM_GUARDED_BY(mu) = LifeState::kIdle;
-  bool kicked SHALOM_GUARDED_BY(mu) = false;
-
-  std::thread worker;
-  std::atomic<std::uint64_t> tick_count{0};
-
-  explicit Impl(ProberOptions o) : opt(o) {}
-
-  long period_ms() const noexcept {
-    if (opt.period_ms > 0) return opt.period_ms;
-    const long base = env_recovery_ms();
-    return base < 10 ? 10 : base;
-  }
-
-  void run() {
-    for (;;) {
-      {
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::milliseconds(period_ms());
-        MutexLock lock(mu);
-        while (state == LifeState::kRunning && !kicked) {
-          if (cv.wait_until(lock, deadline) == std::cv_status::timeout)
-            break;
-        }
-        if (state != LifeState::kRunning) return;
-        kicked = false;
-      }
-      (void)recover_now();
-      tick_count.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-};
-
-Prober::Prober(ProberOptions opt) : impl_(new Impl(opt)) {}
-
-Prober::~Prober() {
-  stop();
-  delete impl_;
-}
-
-bool Prober::start() noexcept {
-  try {
-    MutexLock lock(impl_->mu);
-    if (impl_->state != Impl::LifeState::kIdle) return false;
-    impl_->state = Impl::LifeState::kRunning;
-    impl_->kicked = false;
-    try {
-      impl_->worker = std::thread([this] { impl_->run(); });
-    } catch (...) {
-      impl_->state = Impl::LifeState::kIdle;
-      return false;
-    }
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-void Prober::stop() noexcept {
-  try {
-    {
-      MutexLock lock(impl_->mu);
-      if (impl_->state == Impl::LifeState::kRunning)
-        impl_->state = Impl::LifeState::kDraining;
-    }
-    impl_->cv.notify_all();
-    if (impl_->worker.joinable()) impl_->worker.join();
-    {
-      MutexLock lock(impl_->mu);
-      impl_->state = Impl::LifeState::kIdle;
-    }
-  } catch (...) {
-    // Joining can only fail if the thread already exited; the prober is
-    // idle either way.
-  }
-}
-
-bool Prober::running() const noexcept {
-  try {
-    MutexLock lock(impl_->mu);
-    return impl_->state == Impl::LifeState::kRunning;
-  } catch (...) {
-    return false;
-  }
-}
-
-std::uint64_t Prober::ticks() const noexcept {
-  return impl_->tick_count.load(std::memory_order_relaxed);
-}
-
-void Prober::kick() noexcept {
-  try {
-    {
-      MutexLock lock(impl_->mu);
-      if (impl_->state != Impl::LifeState::kRunning) return;
-      impl_->kicked = true;
-    }
-    impl_->cv.notify_all();
-  } catch (...) {
-  }
+  // Hooks survive the reset: they are process-wide wiring installed at
+  // static-init time by the component owners, not mutable health state.
+  for (Latch& l : g_latches) l.reset();
 }
 
 }  // namespace health

@@ -843,13 +843,13 @@ void quarantine(Variant v, health::Cause cause) noexcept {
   }
 }
 
-bool try_recover_quarantined() noexcept {
-  using health::Cause;
-  using health::Component;
-  if (health::state(Component::kKernels) == health::State::kHealthy)
-    return true;
-  if (!health::try_begin_probation(Component::kKernels)) return false;
+namespace {
 
+/// The kernels component's probation probe: re-probes every variant whose
+/// quarantine cause is recoverable and restores the ones with a clean
+/// streak. True when no quarantined variant remains.
+bool probe_quarantined_variants() noexcept {
+  using health::Cause;
   const long streak = health::env_probation_n();
   for (int i = 0; i < kVariantCount; ++i) {
     std::atomic<int>& slot = g_state[i];
@@ -893,20 +893,19 @@ bool try_recover_quarantined() noexcept {
   // Component verdict: HEALTHY only when no quarantined variants remain
   // (permanently trap-quarantined variants keep the component degraded,
   // with the exponential backoff capping the residual probe traffic).
-  bool none_quarantined = true;
   for (int i = 0; i < kVariantCount; ++i) {
     if (g_state[i].load(std::memory_order_acquire) ==
-        static_cast<int>(Status::kQuarantined)) {
-      none_quarantined = false;
-      break;
-    }
+        static_cast<int>(Status::kQuarantined))
+      return false;
   }
-  if (none_quarantined) {
-    health::probation_succeeded(Component::kKernels);
-    return true;
-  }
-  health::probation_failed(Component::kKernels);
-  return false;
+  return true;
+}
+
+}  // namespace
+
+bool try_recover_quarantined() noexcept {
+  return health::run_probation(health::Component::kKernels,
+                               &probe_quarantined_variants);
 }
 
 void set_probe_body_for_testing(bool (*fn)(Variant)) noexcept {
@@ -924,9 +923,9 @@ void reset_for_testing() noexcept {
 
 namespace {
 
-/// Registers the kernels component's active-recovery hook so
-/// shalom_recover_now() and the background Prober drive the same
-/// probation sweep the passive variant_ok path uses.
+/// Registers the kernels component's recovery hook so
+/// shalom_recover_now() drives the same probation sweep the passive
+/// variant_ok path uses.
 struct KernelHealthHookInit {
   KernelHealthHookInit() noexcept {
     health::set_recover_hook(health::Component::kKernels,

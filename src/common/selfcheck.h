@@ -126,16 +126,16 @@ int run_all() noexcept;
 void quarantine(Variant v,
                 health::Cause cause = health::Cause::kTrap) noexcept;
 
-/// One active recovery pass over the quarantined variants (the
-/// health-registry hook for health::Component::kKernels, also reachable
-/// through shalom_recover_now / the background Prober, and invoked
-/// passively from variant_ok on quarantined variants once the cool-down
-/// elapses). Re-probes every variant whose quarantine cause is
-/// recoverable (mismatch/injected - never trap) trap-contained via
-/// guard::run_trapped; SHALOM_PROBATION_N consecutive clean probes
-/// restore a variant to kVerified. Returns true when the kernels
-/// component ends the pass HEALTHY. No-op returning false while the
-/// registry cool-down is still pending or recovery is disabled.
+/// One recovery pass over the quarantined variants (the health-registry
+/// hook for health::Component::kKernels, reachable through
+/// shalom_recover_now, and invoked passively from variant_ok on
+/// quarantined variants once the cool-down elapses). Re-probes every
+/// variant whose quarantine cause is recoverable (mismatch/injected -
+/// never trap) trap-contained via guard::run_trapped;
+/// SHALOM_PROBATION_N consecutive clean probes restore a variant to
+/// kVerified. Returns true when the kernels component ends the pass
+/// HEALTHY. No-op returning false while the registry cool-down is still
+/// pending or recovery is disabled.
 bool try_recover_quarantined() noexcept;
 
 /// Replaces the probe implementation for every subsequent probe (nullptr

@@ -172,14 +172,10 @@ void backoff_sleep(long attempt) {
   std::this_thread::sleep_for(std::chrono::milliseconds(1L << shift));
 }
 
-/// Hard cap on the breaker's re-open backoff: 64x the base cool-down
-/// (mirrors the health registry's kBackoffCapFactor).
-constexpr std::uint64_t kBreakerBackoffCap = 64;
-
 /// Streams currently latched, for the process-wide health registry's
-/// kStreamBreaker aggregate (each stream keeps its own half-open
-/// bookkeeping). Relaxed: a monotonic census with no ordering ties to
-/// the per-stream state it summarizes.
+/// kStreamBreaker aggregate (each stream keeps its own breaker latch).
+/// Relaxed: a census with no ordering ties to the per-stream state it
+/// summarizes.
 std::atomic<int> g_latched_streams{0};
 
 }  // namespace
@@ -204,31 +200,21 @@ struct GemmStream::Impl {
 
   /// Drainer-thread spawn failed: submit() executes inline instead.
   bool synchronous = false;  // set once in the ctor, then read-only
-  /// Circuit breaker: latched after breaker_threshold consecutive
-  /// retry-exhausted submit failures; a latched stream executes inline
-  /// like a spawn-degraded one. Lock-free so the hot submit path checks
-  /// it with one relaxed load. No longer sticky: once the recovery
-  /// cool-down elapses the breaker goes half-open (below) and a clean
-  /// trial streak un-latches it; with SHALOM_RECOVERY_MS=0 the latch is
-  /// permanent, the pre-recovery behaviour.
-  std::atomic<bool> latched{false};
+  /// Circuit breaker: latched (DEGRADED) after breaker_threshold
+  /// consecutive retry-exhausted submit failures; a latched stream
+  /// executes inline like a spawn-degraded one. Once the recovery
+  /// cool-down elapses the latch goes half-open (PROBATION) and admits
+  /// SHALOM_PROBATION_N trial submissions through the real enqueue path;
+  /// as many clean trials close it, one failed trial re-latches it with a
+  /// doubled cool-down. With SHALOM_RECOVERY_MS=0 the latch is permanent,
+  /// the pre-recovery behaviour.
+  health::Latch breaker;
   std::atomic<int> consecutive_failures{0};
   std::atomic<std::uint64_t> retry_count{0};
-  /// Half-open breaker state. `half_open` gates the trial window;
-  /// `trials_admitted` bounds it to SHALOM_PROBATION_N concurrent trial
-  /// submissions (excess traffic keeps flowing inline-degraded);
-  /// `trial_successes` counts clean trials toward closing the breaker.
-  /// breaker_backoff_ms/deadline_ms are the per-stream exponential
-  /// cool-down (doubles per failed trial window, capped).
-  std::atomic<bool> half_open{false};
-  std::atomic<int> trials_admitted{0};
-  std::atomic<int> trial_successes{0};
-  std::atomic<std::uint64_t> breaker_backoff_ms{0};
-  std::atomic<std::uint64_t> breaker_deadline_ms{0};
   std::thread drainer;
 
   bool degraded() const noexcept {
-    return synchronous || latched.load(std::memory_order_relaxed);
+    return synchronous || breaker.state() != health::State::kHealthy;
   }
 
   void count_retry() noexcept {
@@ -236,107 +222,49 @@ struct GemmStream::Impl {
     telemetry::note_submit_retry();
   }
 
-  std::uint64_t breaker_base_ms() const noexcept {
-    const long ms = health::env_recovery_ms();
-    return ms > 0 ? static_cast<std::uint64_t>(ms) : 1;
-  }
-
-  /// The latch transition (exactly once per open->latched cycle): arms
-  /// the recovery cool-down and registers the stream in the process-wide
-  /// breaker census.
+  /// The latch transition (exactly once per healthy->latched cycle):
+  /// arms the recovery cool-down and registers the stream in the
+  /// process-wide breaker census.
   void latch_breaker() noexcept {
-    if (latched.exchange(true, std::memory_order_acq_rel)) return;
+    if (!breaker.degrade(health::Cause::kOverload)) return;
     telemetry::note_breaker_trip();
-    const std::uint64_t base = breaker_base_ms();
-    breaker_backoff_ms.store(base, std::memory_order_relaxed);
-    breaker_deadline_ms.store(health::now_ms() + base,
-                              std::memory_order_relaxed);
-    half_open.store(false, std::memory_order_release);
     g_latched_streams.fetch_add(1, std::memory_order_relaxed);
     health::report_degraded(health::Component::kStreamBreaker,
                             health::Cause::kOverload);
   }
 
-  /// The un-latch transition (trial streak complete, or a latched stream
-  /// closing down): keeps the census and the component aggregate honest.
-  /// `recovered` distinguishes a genuine breaker close (counts a
-  /// recovery) from a latched stream simply being destroyed.
-  void unlatch_breaker(bool recovered) noexcept {
-    if (!latched.exchange(false, std::memory_order_acq_rel)) return;
-    half_open.store(false, std::memory_order_release);
+  /// The stream's breaker left the latched state (its trial streak
+  /// closed it, or the stream closed while latched): it drops out of the
+  /// census, and the last one out clears the kStreamBreaker aggregate.
+  /// Counts no recovery - a closed trial streak was counted by the
+  /// stream's own latch, and a closing stream restored nothing.
+  void leave_census() noexcept {
     consecutive_failures.store(0, std::memory_order_relaxed);
-    const int remaining =
-        g_latched_streams.fetch_sub(1, std::memory_order_relaxed) - 1;
-    if (remaining <= 0) {
-      // Last latched stream gone: the component is back to full service.
-      health::report_recovered(health::Component::kStreamBreaker);
-      if (!recovered) return;
-      // report_recovered counted the recovery; nothing more to do.
-    } else if (recovered) {
-      telemetry::note_recovery();
-    }
+    if (g_latched_streams.fetch_sub(1, std::memory_order_relaxed) == 1)
+      (void)health::latch(health::Component::kStreamBreaker).recover();
   }
 
-  /// Decides whether this submit should run as a half-open trial through
-  /// the real enqueue path. Opens the trial window when the cool-down
-  /// has elapsed; bounds it to SHALOM_PROBATION_N admissions. Each
-  /// admitted trial counts a probation probe and honours the
-  /// health.probe fault site (an injected failure re-opens the breaker
-  /// immediately and the request falls back to inline execution).
-  bool breaker_trial_admission() noexcept {
+  /// Decides whether this submit runs as a half-open trial through the
+  /// real enqueue path: opens the trial window once the cool-down has
+  /// elapsed, then asks the latch for one of its SHALOM_PROBATION_N
+  /// admissions. Each admitted trial counts a probation probe and honours
+  /// the health.probe fault site (an injected failure re-latches the
+  /// breaker at once and the request falls back to inline execution).
+  bool breaker_trial_admission(health::Latch::Window* window) noexcept {
     if (synchronous) return false;  // no drainer to return to
-    if (!health::recovery_enabled()) return false;
-    if (!latched.load(std::memory_order_acquire)) return false;
-    if (!half_open.load(std::memory_order_acquire)) {
-      if (health::now_ms() <
-          breaker_deadline_ms.load(std::memory_order_relaxed))
-        return false;
-      bool expected = false;
-      if (half_open.compare_exchange_strong(expected, true,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-        trials_admitted.store(0, std::memory_order_relaxed);
-        trial_successes.store(0, std::memory_order_relaxed);
-        telemetry::note_breaker_half_open();
-      }
-    }
-    const long budget = health::env_probation_n();
-    if (trials_admitted.fetch_add(1, std::memory_order_relaxed) >=
-        static_cast<int>(budget))
-      return false;  // window full: keep serving inline
+    if (breaker.try_begin_probation()) telemetry::note_breaker_half_open();
+    if (!breaker.admit_trial(window)) return false;  // closed or full
     if (health::probe_faulted()) {
-      breaker_trial_failed();
+      breaker.end_trial(*window, false);
       return false;
     }
     return true;
   }
 
-  /// A trial enqueue succeeded: one more clean probe toward closing the
-  /// breaker; the SHALOM_PROBATION_N-th closes it.
-  void breaker_trial_succeeded() noexcept {
-    const int okays =
-        trial_successes.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (okays >= static_cast<int>(health::env_probation_n()) &&
-        half_open.load(std::memory_order_acquire))
-      unlatch_breaker(true);
-  }
-
-  /// A trial enqueue failed (retry budget exhausted again, or the
-  /// health.probe site fired): close the trial window and double the
-  /// cool-down before the next half-open attempt.
-  void breaker_trial_failed() noexcept {
-    if (!half_open.exchange(false, std::memory_order_acq_rel))
-      return;  // another trial already resolved the window
-    const std::uint64_t base = breaker_base_ms();
-    const std::uint64_t cap = base * kBreakerBackoffCap;
-    std::uint64_t backoff =
-        breaker_backoff_ms.load(std::memory_order_relaxed);
-    backoff = backoff == 0 ? base : backoff * 2;
-    if (backoff > cap) backoff = cap;
-    breaker_backoff_ms.store(backoff, std::memory_order_relaxed);
-    breaker_deadline_ms.store(health::now_ms() + backoff,
-                              std::memory_order_relaxed);
-    telemetry::note_probation_failure();
+  /// Reports a trial's outcome; the SHALOM_PROBATION_N-th clean trial
+  /// closes the breaker.
+  void breaker_trial_done(health::Latch::Window window, bool clean) noexcept {
+    if (breaker.end_trial(window, clean) && clean) leave_census();
   }
 
   /// Executes one shape bucket (equal dtype + mode, shape-ordered) as a
@@ -605,11 +533,12 @@ TicketPtr GemmStream::submit(Mode mode, index_t m, index_t n, index_t k,
   }
   r.ticket = ticket;
   bool trial = false;
+  health::Latch::Window window = 0;
   if (impl_->degraded()) {
     // Passive on-path recovery: a latched breaker whose cool-down has
     // elapsed admits this submit as a half-open trial through the real
     // enqueue path below; everything else stays on the inline path.
-    trial = impl_->breaker_trial_admission();
+    trial = impl_->breaker_trial_admission(&window);
     if (!trial) {
       impl_->run_inline<T>(mode, r, ticket);
       return ticket;
@@ -698,7 +627,7 @@ TicketPtr GemmStream::submit(Mode mode, index_t m, index_t n, index_t k,
         // the breaker with a doubled cool-down, and serve THIS request
         // inline-degraded rather than surfacing the failure - work
         // accepted mid-recovery keeps flowing.
-        impl_->breaker_trial_failed();
+        impl_->breaker_trial_done(window, false);
         impl_->run_inline<T>(mode, r, ticket);
         return ticket;
       }
@@ -717,7 +646,7 @@ TicketPtr GemmStream::submit(Mode mode, index_t m, index_t n, index_t k,
       throw;
     }
   }
-  if (trial) impl_->breaker_trial_succeeded();
+  if (trial) impl_->breaker_trial_done(window, true);
   impl_->submit_cv.notify_one();
   return ticket;
 }
@@ -770,7 +699,7 @@ int GemmStream::close() {
   if (impl_->drainer.joinable()) impl_->drainer.join();
   // A latched stream leaving service is removed from the process-wide
   // breaker census (not a recovery - nothing was restored).
-  impl_->unlatch_breaker(false);
+  if (impl_->breaker.recover()) impl_->leave_census();
   return rc;
 }
 
@@ -783,7 +712,7 @@ StreamHealth GemmStream::health() const {
     // DEGRADED. Precedence: DRAINING > DEGRADED > RECOVERING >
     // SHEDDING > OK.
     if (!impl_->synchronous &&
-        impl_->half_open.load(std::memory_order_acquire))
+        impl_->breaker.state() == health::State::kProbation)
       return StreamHealth::kRecovering;
     return StreamHealth::kDegraded;
   }

@@ -390,10 +390,10 @@ int shalom_health_report(shalom_health* out);
 
 /* One forced recovery tick: expires every pending cool-down and runs
  * each degraded component's recovery probe immediately (what the
- * passive on-path checks and the background prober would do after the
- * cool-down). Returns the number of components restored to HEALTHY by
- * this call (>= 0); with SHALOM_RECOVERY_MS=0 recovery stays disabled
- * and the call returns 0 without probing. Never a status code. */
+ * passive on-path checks would do after the cool-down). Returns the
+ * number of components restored to HEALTHY by this call (>= 0); with
+ * SHALOM_RECOVERY_MS=0 recovery stays disabled and the call returns 0
+ * without probing. Never a status code. */
 int shalom_recover_now(void);
 
 /* ------------------------------------------------------------------------

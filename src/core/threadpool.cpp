@@ -680,47 +680,33 @@ int ThreadPool::retired_pool_count_for_testing() {
 }
 
 bool ThreadPool::recover_global_for_health() noexcept {
-  if (health::state(health::Component::kThreadPool) ==
-      health::State::kHealthy)
-    return true;
-  if (!health::try_begin_probation(health::Component::kThreadPool))
-    return false;
-  // Probe the newest pool only: it is the one pool_run routes every round
-  // through, and retirees are kept solely for references already handed
-  // out. Pin it like a Handle would so the reaper cannot free it while
-  // the probe runs outside the registry lock.
-  ThreadPool* pool = nullptr;
-  {
-    PoolRegistry& preg = registry();
-    MutexLock lock(preg.mu);
-    if (!preg.pools.empty()) {
+  return health::run_probation(health::Component::kThreadPool, []() noexcept {
+    if (health::probe_faulted())
+      return false;  // injected probe failure: treat exactly like a real one
+    // Probe the newest pool only: it is the one pool_run routes every
+    // round through, and retirees are kept solely for references already
+    // handed out. Pin it like a Handle would so the reaper cannot free it
+    // while the probe runs outside the registry lock.
+    ThreadPool* pool = nullptr;
+    {
+      PoolRegistry& preg = registry();
+      MutexLock lock(preg.mu);
+      if (preg.pools.empty())
+        return true;  // every pool was reaped; nothing left to be degraded
       pool = preg.pools.back().get();
       pool->pins_.fetch_add(1, std::memory_order_acq_rel);
     }
-  }
-  bool ok;
-  if (health::probe_faulted()) {
-    ok = false;  // injected probe failure: treat exactly like a real one
-  } else if (pool == nullptr) {
-    ok = true;  // every pool was reaped; nothing left to be degraded
-  } else {
-    ok = pool->try_recover();
-  }
-  if (pool != nullptr) pool->pins_.fetch_sub(1, std::memory_order_acq_rel);
-  if (ok) {
-    health::probation_succeeded(health::Component::kThreadPool);
-  } else {
-    health::probation_failed(health::Component::kThreadPool);
-  }
-  return ok;
+    const bool ok = pool->try_recover();
+    pool->pins_.fetch_sub(1, std::memory_order_acq_rel);
+    return ok;
+  });
 }
 
 namespace {
 
 /// Wires the pool registry's recovery probe into the health layer at
-/// static-init time, so both the background Prober and recover_now()
-/// drive thread-pool recovery without core ever being special-cased in
-/// common/health.cpp.
+/// static-init time, so recover_now() drives thread-pool recovery without
+/// core ever being special-cased in common/health.cpp.
 struct PoolHealthHookInit {
   PoolHealthHookInit() noexcept {
     health::set_recover_hook(health::Component::kThreadPool,
@@ -742,8 +728,8 @@ void pool_run(int tasks, const std::function<void(int)>& fn,
   ThreadPool& pool = handle.pool();
   // Passive recovery check: when the kThreadPool component is degraded
   // and its cool-down has elapsed, run one probation probe before
-  // narrowing this round. One atomic load while healthy; with the
-  // background Prober off, this path alone recovers the pool.
+  // narrowing this round. One atomic load while healthy; this path
+  // alone recovers the pool without a forced recover_now().
   if (pool.degraded() || pool.max_threads() < tasks)
     (void)ThreadPool::recover_global_for_health();
   // A watchdog-degraded pool has at least one wedged worker: every

@@ -46,8 +46,8 @@
 // spawn-narrowed pool never tried to widen again. Both now heal through
 // the kThreadPool health-registry slot. A trip or spawn-failure reports
 // the component DEGRADED; after SHALOM_RECOVERY_MS of cool-down the
-// recovery probe (try_recover(), driven actively by the health Prober's
-// hook and passively by pool_run on the degraded path) re-spawns threads
+// recovery probe (try_recover(), driven passively by pool_run on the
+// degraded path and on demand by shalom_recover_now) re-spawns threads
 // for allocated-but-threadless worker slots (through the
 // `health.respawn` fault site) and re-arms the watchdog by clearing
 // degraded() - if the wedge persists, the next diagnostic round trips
@@ -139,13 +139,12 @@ class ThreadPool {
   bool try_recover() noexcept;
 
   /// The kThreadPool recovery hook (health::set_recover_hook): runs one
-  /// full probation cycle - try_begin_probation, the `health.probe`
-  /// fault site, try_recover() on the registry's newest pool (the one
-  /// pool_run uses; retirees are superseded and not probed) - and
-  /// reports the verdict back to the registry. Returns true when the
-  /// component ended up HEALTHY. Also the passive on-path check pool_run
-  /// makes before narrowing a round; cheap no-op while the component is
-  /// healthy or its cool-down is pending.
+  /// health::run_probation cycle whose probe is the `health.probe` fault
+  /// site, then try_recover() on the registry's newest pool (the one
+  /// pool_run uses; retirees are superseded and not probed). Returns true
+  /// when the component ended up HEALTHY. Also the passive on-path check
+  /// pool_run makes before narrowing a round; cheap no-op while the
+  /// component is healthy or its cool-down is pending.
   static bool recover_global_for_health() noexcept;
 
   /// High-water mark of rounds observed in flight simultaneously on this

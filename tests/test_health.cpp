@@ -1,11 +1,12 @@
-// Self-healing recovery battery (PR 10): the component health registry
-// state machine, per-component recovery paths (kernel un-quarantine,
-// thread-pool re-expansion, half-open stream breakers), the background
-// Prober lifecycle, and the C surface (shalom_health_report /
-// shalom_recover_now). Labelled `health`; scripts/tier1.sh re-runs this
-// suite under ThreadSanitizer and under SHALOM_RECOVERY_MS wrappers
-// (disabled / tuned / malformed), so every test must be race-clean and
-// must skip-or-adapt when the env wrapper changes the knobs.
+// Self-healing recovery battery: the recovery latch and the component
+// health registry built from it, per-component recovery paths (kernel
+// un-quarantine, thread-pool re-expansion, half-open stream breakers),
+// forced recovery racing live traffic, and the C surface
+// (shalom_health_report / shalom_recover_now). Labelled `health`;
+// scripts/tier1.sh re-runs this suite under ThreadSanitizer and under
+// SHALOM_RECOVERY_MS wrappers (disabled / tuned / malformed), so every
+// test must be race-clean and must skip-or-adapt when the env wrapper
+// changes the knobs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -215,6 +216,53 @@ TEST_F(HealthTest, RecoveryDisabledPreservesPermanentLatch) {
   EXPECT_EQ(shalom_recover_now(), 0);
 }
 
+// The windowed probation a stream breaker runs on, driven directly: a
+// window admits exactly SHALOM_PROBATION_N trials, a trial reported
+// against a window that already ended counts toward nothing, and the
+// N-th clean trial of the current window closes it.
+TEST_F(HealthTest, LatchWindowBoundsTrialsAndIgnoresStaleOnes) {
+  if (!health::recovery_enabled())
+    GTEST_SKIP() << "recovery disabled (SHALOM_RECOVERY_MS=0)";
+  const long n = health::env_probation_n();
+  health::Latch latch;
+  health::Latch::Window first = 0;
+  EXPECT_FALSE(latch.admit_trial(&first)) << "no window while HEALTHY";
+  ASSERT_TRUE(latch.degrade(Cause::kOverload));
+  EXPECT_FALSE(latch.try_begin_probation()) << "cool-down pending";
+  latch.expire();
+  ASSERT_TRUE(latch.try_begin_probation());
+  EXPECT_FALSE(latch.try_begin_probation()) << "the window is open";
+  for (long i = 0; i < n; ++i) ASSERT_TRUE(latch.admit_trial(&first));
+  health::Latch::Window extra = 0;
+  EXPECT_FALSE(latch.admit_trial(&extra)) << "window full at N";
+
+  // One failed trial re-latches with a doubled cool-down; the window's
+  // other trials are now stale.
+  EXPECT_TRUE(latch.end_trial(first, false));
+  EXPECT_EQ(latch.state(), State::kDegraded);
+  EXPECT_EQ(latch.report().backoff_ms,
+            2 * static_cast<std::uint64_t>(health::env_recovery_ms()));
+  EXPECT_EQ(robustness_stats().probation_failures, 1u);
+  sleep_ms(2);  // the next window opens in a later millisecond
+  latch.expire();
+  ASSERT_TRUE(latch.try_begin_probation());
+  health::Latch::Window second = 0;
+  ASSERT_TRUE(latch.admit_trial(&second));
+  EXPECT_NE(second, first);
+  for (long i = 0; i < n; ++i)
+    EXPECT_FALSE(latch.end_trial(first, true)) << "stale trial ignored";
+  EXPECT_EQ(latch.state(), State::kProbation);
+
+  for (long i = 1; i < n; ++i) ASSERT_TRUE(latch.admit_trial(&second));
+  for (long i = 0; i + 1 < n; ++i) EXPECT_FALSE(latch.end_trial(second, true));
+  EXPECT_TRUE(latch.end_trial(second, true)) << "the N-th clean trial";
+  EXPECT_EQ(latch.state(), State::kHealthy);
+  EXPECT_EQ(latch.report().backoff_ms,
+            static_cast<std::uint64_t>(health::env_recovery_ms()));
+  EXPECT_EQ(robustness_stats().recoveries, 1u);
+  EXPECT_FALSE(latch.end_trial(second, true)) << "window already closed";
+}
+
 TEST_F(HealthTest, RegistryNamesAreStable) {
   EXPECT_STREQ(health::component_name(Component::kKernels), "kernels");
   EXPECT_STREQ(health::component_name(Component::kStreamBreaker),
@@ -315,8 +363,8 @@ TEST_F(HealthTest, KernelPassiveVariantOkRecovers) {
       << "cool-down still pending: dispatch keeps routing around it";
 
   health::expire_cooldowns();
-  // No prober, no explicit recover call: dispatching the quarantined
-  // variant is itself the probation trigger.
+  // No explicit recover call: dispatching the quarantined variant is
+  // itself the probation trigger.
   EXPECT_TRUE(selfcheck::variant_ok(v));
   EXPECT_EQ(selfcheck::status(v), selfcheck::Status::kVerified);
   EXPECT_EQ(health::state(Component::kKernels), State::kHealthy);
@@ -555,61 +603,113 @@ TEST_F(HealthTest, BreakerSynchronousStreamStaysLatched) {
   EXPECT_EQ(robustness_stats().breaker_half_opens, 0u);
 }
 
-// ---------------------------------------------------------------------------
-// Prober lifecycle
-// ---------------------------------------------------------------------------
-
-TEST_F(HealthTest, ProberStartStopLifecycle) {
-  health::Prober prober(health::ProberOptions{20});
-  EXPECT_FALSE(prober.running());
-  prober.stop();  // stop when idle is a no-op
-  EXPECT_TRUE(prober.start());
-  EXPECT_TRUE(prober.running());
-  EXPECT_FALSE(prober.start()) << "already running";
-  prober.kick();
-  for (int i = 0; i < 200 && prober.ticks() == 0; ++i) sleep_ms(5);
-  EXPECT_GE(prober.ticks(), 1u);
-  prober.stop();
-  EXPECT_FALSE(prober.running());
-  prober.stop();  // idempotent
-  // Restartable after a stop.
-  EXPECT_TRUE(prober.start());
-  prober.stop();
+// Closing a latched stream drops it out of the breaker census and clears
+// the kStreamBreaker aggregate without counting a recovery: nothing was
+// restored. The SHALOM_RECOVERY_MS=0 wrapper runs this too - with
+// recovery disabled, no path may count one.
+TEST_F(HealthTest, BreakerCloseWhileLatchedCountsNoRecovery) {
+  if (!SHALOM_FAULT_INJECTION)
+    GTEST_SKIP() << "built without SHALOM_FAULT_INJECTION";
+  {
+    engine::StreamOptions opts;
+    opts.retry_budget = 0;
+    opts.breaker_threshold = 1;
+    engine::GemmStream stream(opts);
+    latch_stream(stream);
+    ASSERT_EQ(health::state(Component::kStreamBreaker), State::kDegraded);
+  }
+  EXPECT_EQ(health::state(Component::kStreamBreaker), State::kHealthy)
+      << "the last latched stream leaving clears the aggregate";
+  EXPECT_EQ(robustness_stats().recoveries, 0u)
+      << "destroying a latched stream is not a recovery";
 }
 
-TEST_F(HealthTest, ProberTickRecoversQuarantinedKernel) {
+// M > N submitters race into one half-open window. The latch admits at
+// most SHALOM_PROBATION_N trials per window and each admitted trial
+// counts one probation probe, so however the admissions interleave the
+// probe counter grows by at most N, one window opens, and its N clean
+// trials close the breaker. Also registered under the `stress` label.
+TEST_F(HealthTest, BreakerHalfOpenWindowAdmitsAtMostN) {
+  if (!SHALOM_FAULT_INJECTION)
+    GTEST_SKIP() << "built without SHALOM_FAULT_INJECTION";
   if (!health::recovery_enabled())
     GTEST_SKIP() << "recovery disabled (SHALOM_RECOVERY_MS=0)";
-  const selfcheck::Variant v = selfcheck::Variant::kFusedTnF64;
-  selfcheck::quarantine(v, Cause::kInjected);
-  ASSERT_EQ(health::state(Component::kKernels), State::kDegraded);
+  if (!breaker_wait_affordable())
+    GTEST_SKIP() << "SHALOM_RECOVERY_MS too large to sleep out";
+  const long n = health::env_probation_n();
+  const int submitters = static_cast<int>(std::min<long>(4 * n + 4, 24));
 
-  // recover_now() (each tick) expires pending cool-downs itself, so the
-  // prober heals the variant without the test sleeping out the base.
-  health::Prober prober(health::ProberOptions{10});
-  ASSERT_TRUE(prober.start());
-  prober.kick();
-  for (int i = 0; i < 300; ++i) {
-    if (selfcheck::status(v) == selfcheck::Status::kVerified) break;
-    sleep_ms(10);
+  engine::StreamOptions opts;
+  opts.retry_budget = 0;
+  opts.breaker_threshold = 1;
+  engine::GemmStream stream(opts);
+  latch_stream(stream);
+  sleep_ms(health::env_recovery_ms() + 150);  // the window may now open
+  const RobustnessStats before = robustness_stats();
+
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  threads.reserve(static_cast<std::size_t>(submitters));
+  for (int ti = 0; ti < submitters; ++ti) {
+    threads.emplace_back([&, ti] {
+      testing::Problem<float> p({Trans::N, Trans::N}, 16, 16, 8 + ti % 8);
+      ready.fetch_add(1);
+      while (!go.load()) std::this_thread::yield();
+      engine::TicketPtr t = stream.submit<float>(
+          p.mode, p.m, p.n, p.k, 1.0f, p.a.data(), p.a.ld(), p.b.data(),
+          p.b.ld(), 0.0f, p.c.data(), p.c.ld());
+      const int rc = t->wait();
+      if (rc != SHALOM_OK && rc != SHALOM_DEGRADED) failures.fetch_add(1);
+      p.run_reference(1.0f, 0.0f);
+      if (!matches_reference(p)) failures.fetch_add(1);
+    });
   }
-  prober.stop();
-  EXPECT_EQ(selfcheck::status(v), selfcheck::Status::kVerified);
-  EXPECT_EQ(health::state(Component::kKernels), State::kHealthy);
-  EXPECT_GE(robustness_stats().recoveries, 1u);
-  EXPECT_GE(prober.ticks(), 1u);
+  while (ready.load() < submitters) std::this_thread::yield();
+  go.store(true);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(stream.flush(), SHALOM_OK);
+
+  const RobustnessStats after = robustness_stats();
+  EXPECT_LE(after.probation_probes - before.probation_probes,
+            static_cast<std::uint64_t>(n))
+      << "one half-open window admits at most SHALOM_PROBATION_N trials";
+  EXPECT_EQ(after.breaker_half_opens - before.breaker_half_opens, 1u);
+  EXPECT_EQ(after.probation_failures, before.probation_failures);
+  EXPECT_EQ(stream.health(), engine::StreamHealth::kOk)
+      << "the window's clean trials must close the breaker";
+  EXPECT_EQ(health::state(Component::kStreamBreaker), State::kHealthy);
 }
 
-// TSan target: prober start/stop/kick racing stream submitters and raw
-// registry transitions must be clean, and every accepted result correct.
-TEST_F(HealthTest, ProberTeardownRacesSubmitters) {
+// ---------------------------------------------------------------------------
+// Forced recovery racing live traffic
+// ---------------------------------------------------------------------------
+
+// TSan target: recover_now passes racing stream submitters, a kernel
+// variant being restored under the dispatching submitters, and raw
+// registry churn must be clean, and every accepted result correct.
+TEST_F(HealthTest, RecoverNowRacesSubmitters) {
   constexpr int kThreads = 4;
   constexpr int kPerThread = 12;
+  constexpr int kRecoverers = 2;
+  const selfcheck::Variant v = selfcheck::Variant::kMainF32PackedPacked;
+  selfcheck::quarantine(v, Cause::kInjected);  // real work for the passes
   engine::GemmStream stream;
-  health::Prober prober(health::ProberOptions{5});
-  ASSERT_TRUE(prober.start());
 
+  std::atomic<bool> done{false};
   std::atomic<int> failures{0};
+  std::vector<std::thread> recoverers;
+  recoverers.reserve(kRecoverers);
+  for (int i = 0; i < kRecoverers; ++i) {
+    recoverers.emplace_back([&done] {
+      do {
+        (void)health::recover_now();
+        std::this_thread::yield();
+      } while (!done.load());
+    });
+  }
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int ti = 0; ti < kThreads; ++ti) {
@@ -627,23 +727,25 @@ TEST_F(HealthTest, ProberTeardownRacesSubmitters) {
       }
     });
   }
-  // Registry churn racing the prober's recover_now sweep.
+  // Registry churn racing the recover_now sweeps.
   std::thread churn([] {
     for (int i = 0; i < 200; ++i) {
       health::report_degraded(Component::kTunedTable, Cause::kOverload);
       health::report_recovered(Component::kTunedTable);
     }
   });
-  prober.kick();
-  prober.stop();  // teardown races the submitters: must drain cleanly
-  ASSERT_TRUE(prober.start());
-  prober.kick();
   for (auto& t : threads) t.join();
   churn.join();
-  prober.stop();
+  done.store(true);
+  for (auto& t : recoverers) t.join();
 
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(stream.flush(), SHALOM_OK);
+  if (health::recovery_enabled()) {
+    EXPECT_EQ(selfcheck::status(v), selfcheck::Status::kVerified)
+        << "the forced passes must have restored the variant";
+    EXPECT_EQ(health::state(Component::kKernels), State::kHealthy);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -720,9 +822,9 @@ TEST_F(HealthTest, CApiStatsExposeRecoveryCounters) {
 // ambient fault storm (SHALOM_FAULT arms kernel-probe, worker-spawn and
 // submit-enqueue failures from the environment), then disarm and require
 // the process to heal itself completely - at least one recovery
-// observed, every component back to HEALTHY, and accepted work correct
-// throughout. Run bare this test skips; scripts/tier1.sh runs it with
-// the storm armed.
+// counted while healing, every component back to HEALTHY, and accepted
+// work correct throughout. Run bare this test skips; scripts/tier1.sh
+// runs it with the storm armed.
 TEST(RecoveryChaos, DegradesUnderAmbientFaultsThenHeals) {
   if (!SHALOM_FAULT_INJECTION)
     GTEST_SKIP() << "built without SHALOM_FAULT_INJECTION";
@@ -772,6 +874,10 @@ TEST(RecoveryChaos, DegradesUnderAmbientFaultsThenHeals) {
   }  // stream gone: a latched breaker leaves the census here
   EXPECT_FALSE(health::all_healthy())
       << "the storm must have degraded at least the kernels component";
+  // Recoveries counted so far (a breaker closed by its mid-storm trials)
+  // are not the heal this test is about: phase B must add its own.
+  const std::uint64_t recoveries_before_heal =
+      robustness_stats().recoveries;
 
   // Phase B: the storm passes; the process must heal completely.
   fault::disarm_all();
@@ -782,7 +888,8 @@ TEST(RecoveryChaos, DegradesUnderAmbientFaultsThenHeals) {
   shalom_health report;
   ASSERT_EQ(shalom_health_report(&report), SHALOM_OK);
   EXPECT_EQ(report.all_healthy, 1);
-  EXPECT_GT(robustness_stats().recoveries, 0u);
+  EXPECT_GT(robustness_stats().recoveries, recoveries_before_heal)
+      << "healing the storm's damage must count recoveries";
 
   // Recovered-path correctness: post-heal work is full-service and
   // matches the oracle.
