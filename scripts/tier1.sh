@@ -8,7 +8,8 @@
 # (allocator edge cases, cross-thread teardown, kernel-boundary
 # arithmetic, file parsing of attacker-shaped bytes), TSan over stress,
 # the concurrency-engine battery (overlapping work-stealing rounds,
-# sharded plan-cache races, async stream submission) and the
+# concurrent per-call planning over shared arenas, async stream
+# submission) and the
 # self-healing battery (forced recovery racing submitters, registry
 # churn).
 set -euo pipefail
@@ -83,7 +84,7 @@ echo "=== tier1: persistence chaos (tuned-table I/O faults armed) ==="
 # I/O fault sites firing ambiently. Every save must be all-or-nothing
 # (a failed commit leaves the previous table byte-identical and
 # loadable), every load must be SHALOM_OK or a clean cold start, and
-# nothing may crash or seed invalid plans. Two arming profiles: steady
+# nothing may crash or publish invalid blockings. Two arming profiles: steady
 # every-N failures across the write path, then a fail-after-N profile
 # where I/O works until the process has done some real commits and the
 # open/read path starts dying mid-run.
@@ -128,8 +129,9 @@ ctest --test-dir build-ubsan --output-on-failure -j "${JOBS}" \
 
 echo "=== tier1: TSan build, stress + engine + health labels ==="
 # The data-race hunt for the concurrent-server machinery: overlapping
-# fork-join rounds with stealing, the sharded plan cache under racing
-# inserts, and GemmStream submission from many client threads. These
+# fork-join rounds with stealing, concurrent gemm callers planning in
+# place over shared pool workers and arenas, and GemmStream submission
+# from many client threads. These
 # tests must be TSan-clean; the scheduler uses explicit seq_cst atomic
 # operations (never fences) precisely so TSan models every ordering it
 # relies on. The health label rides along for the recovery layer's

@@ -147,10 +147,9 @@ MachineDescriptor detect_host() {
 }  // namespace
 
 std::uint64_t fingerprint(const MachineDescriptor& m) {
-  // FNV-1a over the model-relevant fields, mirroring the plan-cache's
-  // by-value machine hash: the same quantities that feed solve_tile /
-  // solve_blocking / solve_partition, and nothing else. Field order is
-  // part of the persisted tuned-table format - append-only.
+  // FNV-1a over the model-relevant fields: the same quantities that feed
+  // solve_tile / solve_blocking / solve_partition, and nothing else.
+  // Field order is part of the persisted tuned-table format - append-only.
   std::uint64_t h = 1469598103934665603ull;
   const auto mix = [&h](std::uint64_t v) {
     h ^= v;

@@ -16,7 +16,6 @@ namespace {
 // explicit orders).
 std::atomic<std::uint64_t> g_fallback_nopack{0};
 std::atomic<std::uint64_t> g_threads_degraded{0};
-std::atomic<std::uint64_t> g_plan_cache_bypassed{0};
 std::atomic<std::uint64_t> g_kernels_quarantined{0};
 std::atomic<std::uint64_t> g_selfchecks_run{0};
 std::atomic<std::uint64_t> g_numeric_anomalies{0};
@@ -54,8 +53,6 @@ RobustnessStats robustness_stats() noexcept {
   RobustnessStats s;
   s.fallback_nopack = g_fallback_nopack.load(std::memory_order_relaxed);
   s.threads_degraded = g_threads_degraded.load(std::memory_order_relaxed);
-  s.plan_cache_bypassed =
-      g_plan_cache_bypassed.load(std::memory_order_relaxed);
   s.kernels_quarantined =
       g_kernels_quarantined.load(std::memory_order_relaxed);
   s.selfchecks_run = g_selfchecks_run.load(std::memory_order_relaxed);
@@ -90,7 +87,6 @@ RobustnessStats robustness_stats() noexcept {
 void robustness_stats_reset() noexcept {
   g_fallback_nopack.store(0, std::memory_order_relaxed);
   g_threads_degraded.store(0, std::memory_order_relaxed);
-  g_plan_cache_bypassed.store(0, std::memory_order_relaxed);
   g_kernels_quarantined.store(0, std::memory_order_relaxed);
   g_selfchecks_run.store(0, std::memory_order_relaxed);
   g_numeric_anomalies.store(0, std::memory_order_relaxed);
@@ -118,9 +114,6 @@ void note_fallback_nopack() noexcept {
 }
 void note_threads_degraded() noexcept {
   g_threads_degraded.fetch_add(1, std::memory_order_relaxed);
-}
-void note_plan_cache_bypassed() noexcept {
-  g_plan_cache_bypassed.fetch_add(1, std::memory_order_relaxed);
 }
 void note_kernel_quarantined() noexcept {
   g_kernels_quarantined.fetch_add(1, std::memory_order_relaxed);
@@ -225,12 +218,8 @@ const char* site_name(Site site) noexcept {
   switch (site) {
     case Site::kAllocPackArena:
       return "alloc.pack_arena";
-    case Site::kAllocPlan:
-      return "alloc.plan";
     case Site::kThreadpoolSpawn:
       return "threadpool.spawn";
-    case Site::kPlanCacheInsert:
-      return "plan_cache.insert";
     case Site::kSelfcheckProbe:
       return "selfcheck.probe";
     case Site::kGuardTrap:

@@ -2,7 +2,7 @@
 //
 // Production resilience work needs two things the normal test suite cannot
 // provide: a way to *cause* rare resource failures on demand (allocation
-// failure, worker-spawn failure, cache insertion failure) and a way to
+// failure, worker-spawn failure, queue failure) and a way to
 // *observe* that the library degraded gracefully instead of falling over.
 //
 // Fault sites are named checkpoints compiled into the resource-acquisition
@@ -21,9 +21,7 @@
 //
 // Sites (the degradation each one exercises is listed in DESIGN.md):
 //   alloc.pack_arena     pack-arena reservation at execution time
-//   alloc.plan           materializing a cacheable plan (PlanCache build)
 //   threadpool.spawn     spawning one pool worker thread
-//   plan_cache.insert    inserting a plan into the LRU cache
 //   selfcheck.probe      one micro-kernel selfcheck probe (common/selfcheck.h);
 //                        an injected failure quarantines the probed variant
 //   guard.trap           a guard trap scope (common/guard.h); an injected
@@ -109,8 +107,8 @@ struct RobustnessStats {
   /// Fork-join rounds that ran with fewer workers than the plan wanted
   /// (down to fully serial) because the pool could not grow.
   std::uint64_t threads_degraded = 0;
-  /// GEMM calls that executed without plan-cache backing because building
-  /// or inserting the cacheable plan failed.
+  /// Retired with the plan cache: always 0. Kept so the struct layout and
+  /// the C mirror (shalom_stats) stay stable.
   std::uint64_t plan_cache_bypassed = 0;
   /// Faults fired by the injection framework (0 in production builds).
   std::uint64_t faults_injected = 0;
@@ -158,8 +156,8 @@ struct RobustnessStats {
   std::uint64_t breaker_trips = 0;
   /// Tuned-table records skipped during a load because their checksum,
   /// dtype/trans flags, dimensions, or blocking failed validation against
-  /// the kernel contracts (tuning/table.h); rejected records never reach
-  /// the plan cache.
+  /// the kernel contracts (tuning/table.h); rejected records are never
+  /// published to the planner.
   std::uint64_t table_records_rejected = 0;
   /// Tuned-table operations that failed as a whole: unreadable/corrupt/
   /// version-skewed/fingerprint-skewed files at load (degrades to a cold
@@ -189,7 +187,6 @@ void robustness_stats_reset() noexcept;
 namespace telemetry {
 void note_fallback_nopack() noexcept;
 void note_threads_degraded() noexcept;
-void note_plan_cache_bypassed() noexcept;
 void note_kernel_quarantined() noexcept;
 void note_selfcheck_run() noexcept;
 void note_numeric_anomaly() noexcept;
@@ -219,30 +216,28 @@ void note_breaker_half_open() noexcept;
 
 namespace fault {
 
-/// Named fault sites. Order is the wire format of the site table; append
-/// only.
+/// Named fault sites: dense indices into the site table. Sites are armed
+/// by name (arm_from_spec) or by enum, never by number.
 enum class Site : int {
   kAllocPackArena = 0,
-  kAllocPlan = 1,
-  kThreadpoolSpawn = 2,
-  kPlanCacheInsert = 3,
-  kSelfcheckProbe = 4,
-  kGuardTrap = 5,
-  kThreadpoolHeartbeat = 6,
-  kGuardCanary = 7,
-  kThreadpoolSteal = 8,
-  kSubmitQueue = 9,
-  kEngineDeadline = 10,
-  kEngineShed = 11,
-  kTableOpen = 12,
-  kTableRead = 13,
-  kTableWrite = 14,
-  kTableRename = 15,
-  kTableFsync = 16,
-  kHealthProbe = 17,
-  kHealthRespawn = 18,
+  kThreadpoolSpawn = 1,
+  kSelfcheckProbe = 2,
+  kGuardTrap = 3,
+  kThreadpoolHeartbeat = 4,
+  kGuardCanary = 5,
+  kThreadpoolSteal = 6,
+  kSubmitQueue = 7,
+  kEngineDeadline = 8,
+  kEngineShed = 9,
+  kTableOpen = 10,
+  kTableRead = 11,
+  kTableWrite = 12,
+  kTableRename = 13,
+  kTableFsync = 14,
+  kHealthProbe = 15,
+  kHealthRespawn = 16,
 };
-inline constexpr int kSiteCount = 19;
+inline constexpr int kSiteCount = 17;
 
 /// Trigger modes (see the header comment for semantics).
 enum class Mode : std::uint32_t {

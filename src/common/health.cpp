@@ -68,8 +68,7 @@ void count_end(bool succeeded) noexcept {
 
 const char* component_name(Component c) noexcept {
   static const char* const kNames[] = {"kernels", "threadpool",
-                                       "stream_breaker", "plan_cache",
-                                       "tuned_table"};
+                                       "stream_breaker", "tuned_table"};
   return name_of(c, kNames);
 }
 

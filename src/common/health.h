@@ -4,8 +4,8 @@
 // PRs 2-8 made every failure mode *degrade* instead of crash: a kernel
 // variant that fails its selfcheck is quarantined, a pool whose workers
 // cannot spawn narrows, a stream whose submissions keep failing latches
-// its circuit breaker into synchronous mode, a plan that cannot be cached
-// is rebuilt per call, a tuned table that cannot be read cold-starts.
+// its circuit breaker into synchronous mode, a tuned table that cannot be
+// read cold-starts.
 // Every one of those transitions was one-way: a single transient fault
 // (a memory-pressure spike, one wedged round, an injected probe failure)
 // left the process serving at scalar/serial speed forever.
@@ -71,10 +71,9 @@ enum class Component : int {
   kKernels = 0,        // selfcheck-quarantined micro-kernel variants
   kThreadPool = 1,     // narrowed or watchdog-serialized thread pool
   kStreamBreaker = 2,  // latched stream circuit breakers
-  kPlanCache = 3,      // plan-cache bypass (build/insert failures)
-  kTunedTable = 4,     // persistent tuned-table load/save failures
+  kTunedTable = 3,     // persistent tuned-table load/save failures
 };
-inline constexpr int kComponentCount = 5;
+inline constexpr int kComponentCount = 4;
 
 /// Latch states. kQuarantined is terminal: entering it requires positive
 /// evidence of corruption (a contained hardware trap, a canary violation)
@@ -283,7 +282,7 @@ bool all_healthy() noexcept;
 /// and returns true when the component ended up HEALTHY. Owners register
 /// these at static-init time (selfcheck for kKernels, the pool registry
 /// for kThreadPool); components whose recovery is purely passive
-/// (per-stream breakers, the plan cache, the tuned table) register none.
+/// (per-stream breakers, the tuned table) register none.
 using RecoverHook = bool (*)() noexcept;
 void set_recover_hook(Component c, RecoverHook hook) noexcept;
 

@@ -145,8 +145,8 @@ bool try_recover_quarantined() noexcept;
 void set_probe_body_for_testing(bool (*fn)(Variant)) noexcept;
 
 /// Clears all verdicts back to kUnknown. Test-only: production code must
-/// treat quarantine as permanent. Callers owning cached plans must also
-/// invalidate them (plans snapshot quarantine decisions at build time).
+/// treat quarantine as permanent. Callers holding plans must rebuild them
+/// (plans snapshot quarantine decisions at build time).
 void reset_for_testing() noexcept;
 
 /// Maps a wide-vector width in bits to its variant id.

@@ -1,6 +1,6 @@
 // Clang thread-safety analysis annotations (no-ops elsewhere).
 //
-// The concurrency layer (ThreadPool admission, plan-cache LRU, env-warn
+// The concurrency layer (ThreadPool admission, stream queues, env-warn
 // registry) documents its locking discipline with these macros so that a
 // Clang build with -Wthread-safety (-DSHALOM_THREAD_SAFETY=ON) verifies
 // the discipline statically: a guarded field touched without its mutex,

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "core/gemm.h"
-#include "core/plan_cache.h"
+#include "core/plan.h"
 #include "core/threadpool.h"
 
 namespace shalom {
@@ -13,19 +13,12 @@ void gemm_batch(Mode mode, const std::vector<BatchEntry<T>>& batch,
                 const Config& cfg) {
   if (batch.empty()) return;
 
-  // Batched traffic is where the plan cache pays off most: CP2K-style
-  // batches repeat a handful of block shapes thousands of times, so after
-  // the first few entries every product executes a cached plan.
+  // Each entry is one serial product planned in place.
   Config serial_cfg = cfg;
   serial_cfg.threads = 1;
   auto run_one = [&](const BatchEntry<T>& e) {
-    if (cfg.use_plan_cache) {
-      gemm_cached(mode, e.m, e.n, e.k, e.alpha, e.a, e.lda, e.b, e.ldb,
-                  e.beta, e.c, e.ldc, serial_cfg);
-    } else {
-      gemm_serial(mode, e.m, e.n, e.k, e.alpha, e.a, e.lda, e.b, e.ldb,
-                  e.beta, e.c, e.ldc, serial_cfg);
-    }
+    gemm_serial(mode, e.m, e.n, e.k, e.alpha, e.a, e.lda, e.b, e.ldb,
+                e.beta, e.c, e.ldc, serial_cfg);
   };
 
   int threads = detail::resolve_threads(cfg.threads);

@@ -47,6 +47,10 @@ template <typename T, AAccess AA, BAccess BA, int MaxMr = kMaxMr,
           int MaxNrv = kMaxNrv>
 struct MainTable {
   MainKernelFn<T> fn[MaxMr][MaxNrv + 1][2] = {};
+  /// True where fill installed a variant. The coverage check reads this,
+  /// not fn: GCC's UBSan mode (-fno-delete-null-pointer-checks) makes a
+  /// function address compared with nullptr a non-constant expression.
+  bool has[MaxMr][MaxNrv + 1][2] = {};
 
   constexpr MainTable() {
     fill_mr(std::make_integer_sequence<int, MaxMr>{});
@@ -60,15 +64,20 @@ struct MainTable {
 
   template <int Mr, int... Nrv>
   constexpr void fill_nrv(std::integer_sequence<int, Nrv...>) {
-    ((fn[Mr - 1][Nrv][0] =
-          (Nrv > 0) ? &kern_main<T, Mr, (Nrv > 0 ? Nrv : 1), false, AA, BA>
-                    : nullptr),
+    ((Nrv > 0 ? put(Mr, Nrv, 0,
+                    &kern_main<T, Mr, (Nrv > 0 ? Nrv : 1), false, AA, BA>)
+              : void()),
      ...);
-    ((fn[Mr - 1][Nrv][1] =
-          (Nrv < MaxNrv)
-              ? &kern_main<T, Mr, (Nrv < MaxNrv ? Nrv : 0), true, AA, BA>
-              : nullptr),
+    ((Nrv < MaxNrv
+          ? put(Mr, Nrv, 1,
+                &kern_main<T, Mr, (Nrv < MaxNrv ? Nrv : 0), true, AA, BA>)
+          : void()),
      ...);
+  }
+
+  constexpr void put(int mr, int nrv, int tail, MainKernelFn<T> f) {
+    fn[mr - 1][nrv][tail] = f;
+    has[mr - 1][nrv][tail] = true;
   }
 };
 
@@ -85,7 +94,7 @@ constexpr bool main_table_covers_edges() {
   return contracts::covers_all_edges(MaxMr, MaxNrv * L, [](int m, int n) {
     constexpr int Lanes = simd::vec_of_t<T>::kLanes;
     return kMainTable<T, AA, BA, MaxMr, MaxNrv>
-               .fn[m - 1][n / Lanes][(n % Lanes) != 0] != nullptr;
+        .has[m - 1][n / Lanes][(n % Lanes) != 0];
   });
 }
 

@@ -14,8 +14,8 @@
 #include "common/fault.h"
 #include "common/health.h"
 #include "core/batch.h"
+#include "core/parallel.h"
 #include "core/plan.h"
-#include "core/plan_cache.h"
 
 namespace shalom {
 namespace engine {
@@ -276,7 +276,6 @@ struct GemmStream::Impl {
                   int ok_status) {
     Config cfg;
     cfg.threads = opts.threads;
-    cfg.use_plan_cache = opts.use_plan_cache;
     bool coalesced = true;
     int batch_status = SHALOM_OK;
     std::string batch_message;
@@ -326,11 +325,11 @@ struct GemmStream::Impl {
         status = SHALOM_OK;
         message.clear();
         try {
-          gemm_cached<T>(mode, r->m, r->n, r->k, static_cast<T>(r->alpha),
-                         static_cast<const T*>(r->a), r->lda,
-                         static_cast<const T*>(r->b), r->ldb,
-                         static_cast<T>(r->beta), static_cast<T*>(r->c),
-                         r->ldc, cfg);
+          gemm_parallel<T>(mode, r->m, r->n, r->k, static_cast<T>(r->alpha),
+                           static_cast<const T*>(r->a), r->lda,
+                           static_cast<const T*>(r->b), r->ldb,
+                           static_cast<T>(r->beta), static_cast<T*>(r->c),
+                           r->ldc, cfg);
         } catch (...) {
           status = status_of_current_exception(message);
         }
@@ -377,8 +376,8 @@ struct GemmStream::Impl {
     order.reserve(batch.size());
     for (Request& r : batch) order.push_back(&r);
     // Group by (dtype, mode) for the coalesced calls, then order by
-    // shape inside the group so identical shapes run back-to-back and
-    // reuse the warm per-thread plan memo / cache shard.
+    // shape inside the group so identical shapes run back-to-back on
+    // warm operands and pack arenas.
     const auto key = [](const Request* r) {
       return std::make_tuple(r->dtype, static_cast<int>(r->mode.a),
                              static_cast<int>(r->mode.b), r->m, r->n, r->k,
@@ -643,6 +642,12 @@ TicketPtr GemmStream::submit(Mode mode, index_t m, index_t n, index_t k,
           1;
       if (fails >= impl_->opts.breaker_threshold)
         impl_->latch_breaker();
+      throw;
+    } catch (...) {
+      // Shed, closed, drained away or expired while blocked: a trial
+      // leaving here still reports to its window, or the window would
+      // stay full and the stream RECOVERING until close.
+      if (trial) impl_->breaker_trial_done(window, false);
       throw;
     }
   }

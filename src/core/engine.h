@@ -6,9 +6,8 @@
 // submit() validates the arguments, enqueues the request and returns a
 // Ticket immediately; a dedicated drainer thread swaps out the pending
 // queue, SHAPE-BUCKETS it (requests are grouped by transpose mode and
-// ordered by (m, n, k), so identical shapes run back-to-back and reuse
-// the warm per-thread plan memo and sharded plan-cache entries,
-// cf. core/plan_cache.h) and coalesces each bucket into one gemm_batch()
+// ordered by (m, n, k), so identical shapes run back-to-back on warm
+// operands and pack arenas) and coalesces each bucket into one gemm_batch()
 // call over the work-stealing pool (core/threadpool.h). Head-of-line
 // blocking disappears: submitters never wait on other requests' execution.
 //
@@ -174,8 +173,6 @@ struct StreamOptions {
   /// Execution width for the coalesced gemm_batch calls (0 = default
   /// resolution, like Config::threads).
   int threads = 0;
-  /// Route batch entries through the plan cache (Config::use_plan_cache).
-  bool use_plan_cache = true;
   /// Pending-queue capacity; 0 = unbounded, negative = use
   /// SHALOM_QUEUE_CAP (which defaults to unbounded).
   long queue_cap = -1;

@@ -11,7 +11,7 @@ namespace shalom {
 // The decision chain (blocking, packing, fused-pack eligibility, arena
 // sizing) and the loop nest both live in core/plan.cpp: gemm_serial is one
 // throwaway plan built and executed in place, which keeps it bitwise
-// identical to plan_execute on a cached plan of the same shape.
+// identical to plan_execute on a held plan of the same shape.
 template <typename T>
 void gemm_serial(Mode mode, index_t M, index_t N, index_t K, T alpha,
                  const T* A, index_t lda, const T* B, index_t ldb, T beta,

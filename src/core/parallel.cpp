@@ -4,7 +4,7 @@
 
 #include "common/error.h"
 #include "core/gemm.h"
-#include "core/plan_cache.h"
+#include "core/plan.h"
 
 namespace shalom {
 
@@ -23,11 +23,6 @@ template <typename T>
 void gemm_parallel(Mode mode, index_t M, index_t N, index_t K, T alpha,
                    const T* A, index_t lda, const T* B, index_t ldb, T beta,
                    T* C, index_t ldc, const Config& cfg) {
-  if (cfg.use_plan_cache) {
-    gemm_cached(mode, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc, cfg);
-    return;
-  }
-
   const int threads = detail::resolve_threads(cfg.threads);
   // Degenerate shapes (and alpha == 0) never touch the partition solver or
   // the packing path: gemm_serial resolves them with at most a beta scale.

@@ -1,11 +1,16 @@
 #include "core/plan.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <exception>
 #include <limits>
+#include <map>
+#include <memory>
 #include <new>
 #include <thread>
+#include <tuple>
+#include <type_traits>
 
 #include "common/aligned_buffer.h"
 #include "common/error.h"
@@ -389,11 +394,9 @@ void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
   const index_t ac_elems = plan.ac_elems;
   const index_t bc_sliver = plan.bc_sliver;
 
-  // Grow-only: a no-op after the plan's creation-time reservation unless
-  // this thread's arena has never served a problem this large. If the
-  // reservation fails here (the creation-time attempt is best-effort),
-  // degrade to the no-pack executor instead of throwing out of the hot
-  // path.
+  // Grow-only: a no-op unless this thread's arena has never served a
+  // problem this large. If the reservation fails, degrade to the no-pack
+  // executor instead of throwing out of the hot path.
   T* ac = nullptr;
   AlignedBuffer* arena_ptr = nullptr;
   if (a_packed || b_packed) {
@@ -629,11 +632,11 @@ template void execute_plan<double>(const GemmPlan<double>&, double,
                                    const double*, index_t, const double*,
                                    index_t, double, double*, index_t);
 
-}  // namespace detail
+namespace {
 
 template <typename T>
-GemmPlan<T> plan_create(Mode mode, index_t M, index_t N, index_t K,
-                        const Config& cfg) {
+GemmPlan<T> build_plan(Mode mode, index_t M, index_t N, index_t K,
+                       const Config& cfg) {
   SHALOM_REQUIRE(M >= 0 && N >= 0 && K >= 0, " M=", M, " N=", N, " K=", K);
 
   detail::check_shape_bounds<T>(M, N, K);
@@ -677,28 +680,13 @@ GemmPlan<T> plan_create(Mode mode, index_t M, index_t N, index_t K,
         if (m == 0 || n == 0) {
           p.sub.emplace_back();  // empty cell: m == 0 marks "skip"
         } else {
-          p.sub.push_back(plan_create<T>(mode, m, n, K, serial_cfg));
+          // Sub-plans never consult the tuned snapshot: a record keys
+          // the whole call, not one thread's cell of it.
+          p.sub.push_back(build_plan<T>(mode, m, n, K, serial_cfg));
           max_arena = std::max(max_arena, p.sub.back().arena_bytes);
         }
       }
       p.arena_bytes = max_arena;
-      // Pre-size every pool worker's arena now (persistent-pool
-      // reservation): executions then never touch the allocator. The
-      // fork-join cost is paid once per plan, not per call. Best-effort:
-      // a failed reservation must not escape a worker thread (that would
-      // terminate the process); execution retries and degrades to the
-      // no-pack path if memory is still short.
-      if (max_arena > 0) {
-        pool_run(
-            t,
-            [&](int) {
-              try {
-                thread_pack_arena().reserve(max_arena);
-              } catch (const std::bad_alloc&) {
-              }
-            },
-            p.watchdog_ms);
-      }
       return p;
     }
   }
@@ -780,13 +768,103 @@ GemmPlan<T> plan_create(Mode mode, index_t M, index_t N, index_t K,
       static_cast<std::size_t>(p.ac_elems + ukr::kPackSlackElems +
                                2 * p.bc_sliver) *
       sizeof(T);
-  // Best-effort warm-up only; execution re-reserves and degrades to the
-  // no-pack path if this thread's arena still cannot grow.
-  try {
-    thread_pack_arena().reserve(p.arena_bytes);
-  } catch (const std::bad_alloc&) {
-  }
   return p;
+}
+
+// ---------------------------------------------------------------------------
+// Tuned-blocking snapshot
+// ---------------------------------------------------------------------------
+
+using TunedKey = std::tuple<char, bool, bool, int, index_t, index_t, index_t>;
+
+TunedKey key_of(const TunedBlocking& t) {
+  return {t.dtype, t.trans_a, t.trans_b, t.threads, t.m, t.n, t.k};
+}
+
+/// Sorted by key_of; never mutated once published.
+using TunedSnapshot = std::vector<TunedBlocking>;
+
+/// The published snapshot (nullptr = none). Writers serialize on
+/// TunedHistory::mu; readers only load the pointer.
+std::atomic<const TunedSnapshot*> g_tuned{nullptr};
+
+/// Every snapshot ever published. A reader may still hold an older one,
+/// so none is freed; tables are loaded a handful of times per process.
+struct TunedHistory {
+  Mutex mu;
+  std::vector<std::unique_ptr<const TunedSnapshot>> all SHALOM_GUARDED_BY(mu);
+};
+
+TunedHistory& tuned_history() {
+  static TunedHistory* h = new TunedHistory;  // outlives every reader
+  return *h;
+}
+
+/// The published entry for this exact call, or nullptr when none applies
+/// (no snapshot, a non-plain Config, or no exact shape match).
+template <typename T>
+const TunedBlocking* find_tuned(Mode mode, index_t M, index_t N, index_t K,
+                                const Config& cfg) {
+  const TunedSnapshot* snap = g_tuned.load(std::memory_order_acquire);
+  if (snap == nullptr) return nullptr;
+  const bool plain =
+      cfg.selective_packing && cfg.fused_packing && cfg.optimized_edges &&
+      cfg.kc_override == 0 && cfg.mc_override == 0 &&
+      cfg.nc_override == 0 &&
+      (cfg.machine == nullptr ||
+       arch::fingerprint(*cfg.machine) ==
+           arch::fingerprint(arch::host_machine()));
+  if (!plain) return nullptr;
+  const TunedKey key{std::is_same_v<T, float> ? 's' : 'd',
+                     mode.a == Trans::T,
+                     mode.b == Trans::T,
+                     detail::resolve_threads(cfg.threads),
+                     M,
+                     N,
+                     K};
+  const auto it = std::lower_bound(
+      snap->begin(), snap->end(), key,
+      [](const TunedBlocking& e, const TunedKey& k) { return key_of(e) < k; });
+  return it != snap->end() && key_of(*it) == key ? &*it : nullptr;
+}
+
+}  // namespace
+
+}  // namespace detail
+
+void publish_tuned(const std::vector<TunedBlocking>& entries) {
+  detail::TunedHistory& h = detail::tuned_history();
+  MutexLock lock(h.mu);
+  std::map<detail::TunedKey, TunedBlocking> merged;
+  if (const detail::TunedSnapshot* cur =
+          detail::g_tuned.load(std::memory_order_acquire))
+    for (const TunedBlocking& e : *cur) merged[detail::key_of(e)] = e;
+  for (const TunedBlocking& e : entries) merged[detail::key_of(e)] = e;
+  auto next = std::make_unique<detail::TunedSnapshot>();
+  next->reserve(merged.size());
+  for (const auto& kv : merged) next->push_back(kv.second);
+  const detail::TunedSnapshot* published = next.get();
+  h.all.push_back(std::move(next));
+  detail::g_tuned.store(published, std::memory_order_release);
+}
+
+void reset_tuned() {
+  detail::TunedHistory& h = detail::tuned_history();
+  MutexLock lock(h.mu);
+  detail::g_tuned.store(nullptr, std::memory_order_release);
+}
+
+template <typename T>
+GemmPlan<T> plan_create(Mode mode, index_t M, index_t N, index_t K,
+                        const Config& cfg) {
+  if (const TunedBlocking* t = detail::find_tuned<T>(mode, M, N, K, cfg)) {
+    Config tuned = cfg;
+    tuned.kc_override = t->kc;
+    tuned.mc_override = t->mc;
+    tuned.nc_override = t->nc;
+    return detail::build_plan<T>(mode, M, N, K, tuned);
+  }
+  return detail::build_plan<T>(mode, M, N, K, cfg);
 }
 
 template GemmPlan<float> plan_create<float>(Mode, index_t, index_t, index_t,

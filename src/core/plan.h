@@ -1,14 +1,13 @@
-// Execution plans: shape-keyed snapshots of every per-call GEMM decision.
+// Execution plans: snapshots of every per-call GEMM decision.
 //
 // A GemmPlan captures everything `shalom::gemm` derives from (mode, M, N,
 // K, Config) before any arithmetic happens: the register tile, the cache
 // blocking (core/model.h), the packing decision and fused-pack eligibility
 // flags, the pack-arena byte budget, and - for multi-threaded plans - the
 // Tm x Tn partition together with one serial sub-plan per thread cell.
-// Creating the plan once and calling plan_execute() many times removes the
-// analytic models, the partition solve and the arena sizing from the hot
-// path entirely, which is where the time goes when millions of calls
-// repeat the same handful of small shapes (the CP2K/VGG traffic pattern).
+// Every gemm call builds a plan in place and executes it; a caller that
+// repeats one shape can hold the plan and call plan_execute() many times,
+// skipping the analytic models and the partition solve.
 //
 // plan_execute runs the exact same loop nest as the per-call driver, so
 // results are bitwise identical to a direct gemm() with the same Config.
@@ -17,6 +16,11 @@
 // (each uses the calling thread's pack arena), while parallel plans run
 // their fork-join rounds on the shared work-stealing ThreadPool, where
 // rounds from independent callers overlap (core/threadpool.h).
+//
+// Tuned blockings (tuning/table.h) reach plans through one immutable
+// override snapshot that plan_create reads (publish_tuned below), so a
+// caller-held plan and a gemm call of the same shape pick up the same
+// blocking.
 #pragma once
 
 #include <vector>
@@ -69,10 +73,10 @@ struct GemmPlan {
 };
 
 /// Builds a plan. cfg.threads == 0 resolves to all host cores; the
-/// partition solver may still collapse the plan to serial. Also pre-sizes
-/// the pack arenas that will serve the plan (the calling thread's, plus
-/// every pool worker's for parallel plans) so no execution ever allocates.
-/// Throws invalid_argument on negative dimensions.
+/// partition solver may still collapse the plan to serial. A plain Config
+/// (see publish_tuned) takes the published tuned blocking for its exact
+/// shape. Pack arenas are reserved by the executing thread on first use,
+/// grow-only. Throws invalid_argument on negative dimensions.
 template <typename T>
 GemmPlan<T> plan_create(Mode mode, index_t M, index_t N, index_t K,
                         const Config& cfg = {});
@@ -85,6 +89,28 @@ template <typename T>
 void plan_execute(const GemmPlan<T>& plan, T alpha, const T* A, index_t lda,
                   const T* B, index_t ldb, T beta, T* C, index_t ldc);
 
+/// One tuned cache blocking for an exact shape (persisted by
+/// tuning/table.h as TunedRecord).
+struct TunedBlocking {
+  char dtype = 's';           ///< 's' (float) or 'd' (double)
+  bool trans_a = false;
+  bool trans_b = false;
+  int threads = 1;            ///< resolved worker count the tuning targeted
+  index_t m = 0, n = 0, k = 0;
+  index_t kc = 0, mc = 0, nc = 0;  ///< tuned blocking (all >= 1)
+};
+
+/// Adds `entries` to the process-wide tuned-blocking snapshot; an entry
+/// replaces a published one of the same shape. plan_create applies an
+/// entry only to a plain Config - default feature flags, zero blocking
+/// overrides, the host machine - on an exact match of dtype, mode, M, N,
+/// K and resolved thread count. The snapshot is immutable: publishing
+/// swaps one atomic pointer, so plan_create's lookup takes no lock.
+void publish_tuned(const std::vector<TunedBlocking>& entries);
+
+/// Empties the snapshot: every plan uses the analytic blocking again.
+void reset_tuned();
+
 namespace detail {
 
 /// Shared argument contract of every dense GEMM entry point.
@@ -93,7 +119,7 @@ void check_gemm_args(Mode mode, index_t M, index_t N, index_t K, const T* A,
                      index_t lda, const T* B, index_t ldb, const T* C,
                      index_t ldc);
 
-/// plan_execute without the argument re-validation: the cached entry
+/// plan_execute without the argument re-validation: the gemm entry
 /// points check once up front and then dispatch here.
 template <typename T>
 void execute_plan(const GemmPlan<T>& plan, T alpha, const T* A, index_t lda,

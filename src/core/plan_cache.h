@@ -1,163 +1,38 @@
-// Shape-keyed LRU cache of execution plans.
-//
-// Production small-GEMM traffic repeats a handful of shapes millions of
-// times (CP2K block patterns, VGG im2col layers), so the per-call analytic
-// decisions - blocking, packing, partitioning, arena sizing - are pure
-// overhead after the first call. The global PlanCache memoizes one
-// immutable GemmPlan per (mode, M, N, K, ld class, threads, config) key,
-// and gemm_cached() is the transparent entry point the public
-// gemm/gemm_parallel/gemm_batch drivers route through. Cached plans are
-// shared_ptr-held, so an eviction never invalidates a plan another thread
-// is still executing.
-//
-// Internally the cache is sharded kShards ways by the high bits of the
-// key hash: each shard owns its own mutex, LRU list and hit/miss/eviction
-// counters, so concurrent callers on different shapes never contend on
-// one lock (the concurrent-server path, see core/threadpool.h). The
-// PR 1 single-mutex semantics are preserved observably: stats() sums the
-// shards, capacity bounds the TOTAL entry count, and eviction removes the
-// globally least-recently-used entry (each entry carries a global use
-// tick; the oldest shard tail IS the global LRU victim, since per-shard
-// lists preserve global recency order restricted to the shard).
+// Retired plan cache. Every gemm call now builds its plan in place
+// (core/plan.h); this header keeps the old names compiling for the
+// standalone benchmark in perfbench/ and for nothing else.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "core/plan.h"
+#include "core/shalom.h"
 
 namespace shalom {
 
-/// Leading-dimension equivalence class used in the cache key: tightly
-/// packed operands vs any padded leading dimension. Plan decisions do not
-/// currently depend on it, but keeping the classes distinct in the key
-/// leaves room for layout-aware plans without a key-format change.
-enum class LdClass : std::uint8_t { kContiguous = 0, kPadded = 1 };
-
-/// Classifies one call's leading dimensions against the logical operand
-/// widths implied by (mode, M, N, K).
-LdClass classify_ld(Mode mode, index_t M, index_t N, index_t K, index_t lda,
-                    index_t ldb, index_t ldc);
-
-/// Hash of every Config field a plan depends on (feature flags, blocking
-/// overrides, and the target machine's model-relevant parameters - hashed
-/// by value, so two descriptors with equal parameters collide on purpose).
-/// cfg.threads is excluded: it is a separate key field.
-std::uint64_t config_fingerprint(const Config& cfg);
-
-/// Full cache key for one GEMM shape.
-struct PlanKey {
-  std::uint8_t trans_a = 0, trans_b = 0;
-  std::uint8_t ld_class = 0;
-  index_t m = 0, n = 0, k = 0;
-  int threads = 1;
-  std::uint64_t cfg_hash = 0;
-
-  bool operator==(const PlanKey&) const = default;
-};
-
-PlanKey make_plan_key(Mode mode, index_t M, index_t N, index_t K,
-                      LdClass ld_class, int threads, const Config& cfg);
-
+/// Always zero: there is no cache to count.
 struct PlanCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
-  std::size_t size = 0;
-  std::size_t capacity = 0;
+  std::uint64_t hits = 0, misses = 0, evictions = 0;
+  std::size_t size = 0, capacity = 0;
 };
 
-/// One entry of a hot-shape snapshot (PlanCache::hot): a cached key plus
-/// the global use tick of its most recent touch. Higher tick = hotter.
-struct HotShape {
-  PlanKey key;
-  std::uint64_t last_use_tick = 0;
-};
-
-/// Thread-safe LRU plan cache, one instance per element type.
 template <typename T>
 class PlanCache {
  public:
-  using PlanPtr = std::shared_ptr<const GemmPlan<T>>;
-
-  static constexpr std::size_t kDefaultCapacity = 256;
-
-  /// Shard count (power of two; keys are routed by the high bits of the
-  /// key hash, leaving the low bits for the in-shard hash map).
-  static constexpr std::size_t kShards = 16;
-
-  explicit PlanCache(std::size_t capacity = kDefaultCapacity);
-  ~PlanCache();
-
-  PlanCache(const PlanCache&) = delete;
-  PlanCache& operator=(const PlanCache&) = delete;
-
-  /// Process-wide cache consulted by the public entry points.
-  static PlanCache& global();
-
-  /// Returns the cached plan for `key`, creating (and inserting) it from
-  /// (mode, M, N, K, cfg) on a miss. Plan construction runs outside the
-  /// cache lock; when two threads race on the same fresh key, one plan
-  /// wins the insert and both calls return a valid plan.
-  ///
-  /// Degradation contract: returns nullptr when the plan itself could not
-  /// be materialized (allocation failure building the GemmPlan). A failed
-  /// *insert* of a successfully built plan still returns the plan - the
-  /// caller executes it, the cache just won't remember it. Both outcomes
-  /// bump the plan_cache_bypassed telemetry counter; argument errors
-  /// (shalom::invalid_argument) propagate as before.
-  PlanPtr get_or_create(const PlanKey& key, Mode mode, index_t M, index_t N,
-                        index_t K, const Config& cfg);
-
-  /// Cache lookup only; nullptr on miss.
-  PlanPtr lookup(const PlanKey& key);
-
-  /// Installs `plan` under `key` (used by the auto-tuner to seed tuned
-  /// blockings). Replaces any existing entry for the key. Best-effort
-  /// under memory pressure: a failed insertion is dropped (and counted as
-  /// plan_cache_bypassed) rather than thrown.
-  void insert(const PlanKey& key, PlanPtr plan);
-
-  /// Shrinks/grows the LRU bound (total across all shards); evicts
-  /// immediately when shrinking. Capacity 0 disables insertion (every
-  /// call becomes a miss).
-  void set_capacity(std::size_t capacity);
-
-  void clear();
-
-  /// Aggregated over all shards (hits also fold in the memo hits).
-  PlanCacheStats stats() const;
-
-  /// Monotonic counter bumped by clear(), set_capacity() and insert():
-  /// anything that can change which plan a key maps to. Lets lock-free
-  /// per-thread memos (see gemm_cached) validate themselves cheaply.
-  std::uint64_t generation() const;
-
-  /// Accounts a hit served from a per-thread memo without touching the
-  /// lock (folded into stats().hits).
-  void note_memo_hit();
-
-  /// Snapshot of the up-to-`k` most recently used entries, hottest first
-  /// (descending global use tick). Locks shards one at a time, so the
-  /// snapshot is consistent per shard but only approximately consistent
-  /// across shards under concurrent traffic - exactly the fidelity a
-  /// re-tuner sampling "what's hot" needs. The single source of truth for
-  /// both the background re-tuner (tuning/table.h) and operators
-  /// (shalom_plan_cache_hot).
-  std::vector<HotShape> hot(std::size_t k) const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  static PlanCache& global() {
+    static PlanCache cache;
+    return cache;
+  }
+  void clear() {}
+  PlanCacheStats stats() const { return {}; }
 };
 
-/// Cache-transparent GEMM: validates arguments, then either executes a
-/// (possibly fresh) cached plan or - when cfg.use_plan_cache is false -
-/// falls through to the per-call serial/parallel drivers.
+/// Forwards to gemm.
 template <typename T>
 void gemm_cached(Mode mode, index_t M, index_t N, index_t K, T alpha,
                  const T* A, index_t lda, const T* B, index_t ldb, T beta,
-                 T* C, index_t ldc, const Config& cfg = {});
+                 T* C, index_t ldc, const Config& cfg = {}) {
+  gemm(mode.a, mode.b, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc, cfg);
+}
 
 }  // namespace shalom

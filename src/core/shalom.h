@@ -20,7 +20,6 @@
 #include "common/matrix.h"
 #include "core/gemm.h"
 #include "core/parallel.h"
-#include "core/plan_cache.h"
 #include "core/types.h"
 
 namespace shalom {
@@ -28,10 +27,9 @@ namespace shalom {
 /// General matrix multiply: C = alpha * op(A) . op(B) + beta * C.
 ///
 /// A is M x K (after op), row-major with leading dimension lda; B is
-/// K x N (after op); C is M x N. Consults the global execution-plan cache
-/// (cfg.use_plan_cache, on by default), then runs the serial or fork-join
-/// driver per cfg.threads. Throws invalid_argument on inconsistent
-/// dimensions.
+/// K x N (after op); C is M x N. Builds the call's plan in place and runs
+/// the serial or fork-join driver per cfg.threads. Throws invalid_argument
+/// on inconsistent dimensions.
 template <typename T>
 void gemm(Trans trans_a, Trans trans_b, index_t M, index_t N, index_t K,
           T alpha, const T* A, index_t lda, const T* B, index_t ldb, T beta,
@@ -41,12 +39,7 @@ void gemm(Trans trans_a, Trans trans_b, index_t M, index_t N, index_t K,
   if (guard != numerics::Policy::kIgnore)
     detail::numeric_guard_operands(mode, M, N, K, A, lda, B, ldb, beta, C,
                                    ldc, guard);
-  if (cfg.use_plan_cache) {
-    // Transparent shape-keyed plan cache: repeated calls on one shape skip
-    // the per-call analytic decisions (see core/plan_cache.h). Results are
-    // bitwise identical to the per-call drivers below.
-    gemm_cached(mode, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc, cfg);
-  } else if (cfg.threads == 1) {
+  if (cfg.threads == 1) {
     gemm_serial(mode, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc, cfg);
   } else {
     gemm_parallel(mode, M, N, K, alpha, A, lda, B, ldb, beta, C, ldc, cfg);

@@ -1,16 +1,13 @@
 #include "core/shalom_c.h"
 
-#include <algorithm>
 #include <memory>
 #include <new>
-#include <vector>
 
 #include "common/fault.h"
 #include "common/health.h"
 #include "common/selfcheck.h"
 #include "core/engine.h"
 #include "core/plan.h"
-#include "core/plan_cache.h"
 #include "core/shalom.h"
 
 /* Opaque plan handle: one GemmPlan per element type, selected by dtype. */
@@ -474,52 +471,3 @@ extern "C" void shalom_future_destroy(shalom_future* future) {
   delete future;  // the stream's reference keeps an unfinished request alive
 }
 
-/* ------------------------------------------------------------------------
- * Plan-cache hot-shape snapshot.
- * ---------------------------------------------------------------------- */
-
-namespace {
-
-template <typename T>
-void collect_hot(char dtype, std::size_t k,
-                 std::vector<shalom_hot_shape>& out) {
-  for (const shalom::HotShape& h : shalom::PlanCache<T>::global().hot(k)) {
-    shalom_hot_shape s;
-    s.dtype = dtype;
-    s.trans_a = h.key.trans_a != 0 ? 'T' : 'N';
-    s.trans_b = h.key.trans_b != 0 ? 'T' : 'N';
-    s.m = h.key.m;
-    s.n = h.key.n;
-    s.k = h.key.k;
-    s.threads = h.key.threads;
-    s.last_use_tick = h.last_use_tick;
-    out.push_back(s);
-  }
-}
-
-}  // namespace
-
-extern "C" int shalom_plan_cache_hot(shalom_hot_shape* out, int capacity) {
-  clear_last_error();
-  if (capacity <= 0) return 0;
-  if (out == nullptr)
-    return -fail(SHALOM_ERR_NULL_POINTER, "out is NULL");
-  try {
-    const std::size_t cap = static_cast<std::size_t>(capacity);
-    std::vector<shalom_hot_shape> merged;
-    collect_hot<float>('s', cap, merged);
-    collect_hot<double>('d', cap, merged);
-    std::sort(merged.begin(), merged.end(),
-              [](const shalom_hot_shape& a, const shalom_hot_shape& b) {
-                return a.last_use_tick > b.last_use_tick;
-              });
-    if (merged.size() > cap) merged.resize(cap);
-    std::copy(merged.begin(), merged.end(), out);
-    return static_cast<int>(merged.size());
-  } catch (...) {
-    // A snapshot that cannot allocate reports "nothing hot" rather than
-    // failing the probe: the caller's out array is untouched.
-    (void)fail_current_exception();
-    return 0;
-  }
-}

@@ -38,10 +38,10 @@
  *
  * Degradation guarantees (see DESIGN.md for the full matrix): recoverable
  * resource exhaustion inside a GEMM - pack-buffer allocation failure,
- * worker-thread spawn failure, plan-cache memory pressure - never fails
- * the call. The library falls back to unpacked kernels, fewer threads
- * (down to serial), or uncached planning, returns SHALOM_OK with the
- * exact same numerical result, and counts the event in shalom_stats.
+ * worker-thread spawn failure - never fails the call. The library falls
+ * back to unpacked kernels or fewer threads (down to serial), returns
+ * SHALOM_OK with the exact same numerical result, and counts the event
+ * in shalom_stats.
  */
 #pragma once
 
@@ -84,7 +84,7 @@ const char* shalom_last_error_message(void);
 typedef struct shalom_stats {
   uint64_t fallback_nopack;    /* executions using the no-pack fallback */
   uint64_t threads_degraded;   /* fork-join rounds below requested width */
-  uint64_t plan_cache_bypassed;/* calls that ran without plan-cache backing */
+  uint64_t plan_cache_bypassed;/* retired with the plan cache: always 0 */
   uint64_t faults_injected;    /* injected faults (testing builds only) */
   uint64_t kernels_quarantined;/* kernel variants failing their selfcheck */
   uint64_t selfchecks_run;     /* selfcheck probes executed */
@@ -308,34 +308,9 @@ int shalom_future_done(const shalom_future* future);
 void shalom_future_destroy(shalom_future* future);
 
 /* ------------------------------------------------------------------------
- * Plan-cache hot-shape snapshot: the top-k most recently used cached
- * shapes, hottest first, merged across the float and double caches. The
- * same snapshot the background re-tuner promotes from, exposed so
- * operators and the re-tuner share one source of truth.
- * ---------------------------------------------------------------------- */
-
-typedef struct shalom_hot_shape {
-  char dtype;              /* 's' or 'd' */
-  char trans_a;            /* 'N' or 'T' */
-  char trans_b;            /* 'N' or 'T' */
-  ptrdiff_t m, n, k;
-  int threads;             /* resolved worker count in the cache key */
-  uint64_t last_use_tick;  /* global LRU tick of the most recent touch;
-                              higher = hotter (per-dtype counters, so
-                              ordering is exact within a dtype and
-                              approximate across them) */
-} shalom_hot_shape;
-
-/* Fills `out` with up to `capacity` hot shapes and returns the number
- * written (>= 0), or the NEGATED error code (-SHALOM_ERR_NULL_POINTER)
- * when out is NULL with capacity > 0 - negation keeps a small count and
- * a small error code unambiguous. capacity <= 0 returns 0. */
-int shalom_plan_cache_hot(shalom_hot_shape* out, int capacity);
-
-/* ------------------------------------------------------------------------
  * Self-healing recovery (common/health.h). Every degradable component -
- * kernel variants, the thread pool, stream circuit breakers, the plan
- * cache, the tuned table - is tracked through an explicit state machine
+ * kernel variants, the thread pool, stream circuit breakers, the tuned
+ * table - is tracked through an explicit state machine
  * (HEALTHY -> DEGRADED -> PROBATION -> HEALTHY, or QUARANTINED on
  * terminal evidence) with exponential-backoff cool-downs between
  * recovery probes. SHALOM_RECOVERY_MS sets the base cool-down (0
@@ -365,9 +340,8 @@ typedef enum shalom_health_component_id {
   SHALOM_HEALTH_KERNELS = 0,
   SHALOM_HEALTH_THREADPOOL = 1,
   SHALOM_HEALTH_STREAM_BREAKER = 2,
-  SHALOM_HEALTH_PLAN_CACHE = 3,
-  SHALOM_HEALTH_TUNED_TABLE = 4,
-  SHALOM_HEALTH_COMPONENT_COUNT = 5,
+  SHALOM_HEALTH_TUNED_TABLE = 3,
+  SHALOM_HEALTH_COMPONENT_COUNT = 4,
 } shalom_health_component_id;
 
 typedef struct shalom_health_component {
@@ -403,8 +377,9 @@ int shalom_recover_now(void);
  * the table automatically at startup in binaries linking the store.
  * ---------------------------------------------------------------------- */
 
-/* Loads a tuned-table file and pre-seeds the plan cache with every
- * record that passes checksum + kernel-contract validation. Invalid
+/* Loads a tuned-table file and publishes every record that passes
+ * checksum + kernel-contract validation as a blocking override: later
+ * default-config calls of that exact shape use it. Invalid
  * records are skipped (shalom_stats.table_records_rejected); a missing,
  * truncated, corrupt or version/fingerprint-skewed file returns
  * SHALOM_ERR_TABLE (shalom_stats.table_load_failures) and the process

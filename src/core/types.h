@@ -36,13 +36,6 @@ struct Config {
   /// Machine the analytic models should target; nullptr = running host.
   const arch::MachineDescriptor* machine = nullptr;
 
-  /// Consult the global shape-keyed execution-plan cache (core/plan_cache.h)
-  /// from the public gemm/gemm_parallel/gemm_batch entry points, so
-  /// repeated calls on the same shape skip the analytic decision chain.
-  /// Plan execution runs the identical loop nest, so results are bitwise
-  /// equal either way; disable for the per-call ablation baseline.
-  bool use_plan_cache = true;
-
   /// Numerical guard rail: sample operands (and the result) for NaN/Inf
   /// around each public gemm() call. kIgnore (default) skips the scan
   /// entirely; kCount records anomalies in robustness_stats(); kFail

@@ -1,13 +1,11 @@
 #include "tuning/autotune.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "bench_util/runner.h"
 #include "bench_util/stats.h"
 #include "common/rng.h"
 #include "core/kernel_contracts.h"
-#include "core/plan_cache.h"
 #include "core/shalom.h"
 
 namespace shalom::tuning {
@@ -108,32 +106,5 @@ template TuneResult tune<float>(Mode, index_t, index_t, index_t,
                                 const Config&, const TuneOptions&);
 template TuneResult tune<double>(Mode, index_t, index_t, index_t,
                                  const Config&, const TuneOptions&);
-
-template <typename T>
-void seed_plan_cache(Mode mode, index_t M, index_t N, index_t K,
-                     const TuneResult& result, const Config& base) {
-  // Build the plan with the tuned overrides, but key it the way a plain
-  // `base` call keys its lookup (zero overrides) - that is what makes the
-  // seeded blocking transparent to callers.
-  Config tuned = result.config;
-  tuned.machine = base.machine;
-  tuned.threads = detail::resolve_threads(base.threads);
-
-  Config plain = base;
-  plain.threads = tuned.threads;
-  plain.kc_override = plain.mc_override = plain.nc_override = 0;
-
-  const auto plan = std::make_shared<const GemmPlan<T>>(
-      plan_create<T>(mode, M, N, K, tuned));
-  for (LdClass cls : {LdClass::kContiguous, LdClass::kPadded}) {
-    PlanCache<T>::global().insert(
-        make_plan_key(mode, M, N, K, cls, plain.threads, plain), plan);
-  }
-}
-
-template void seed_plan_cache<float>(Mode, index_t, index_t, index_t,
-                                     const TuneResult&, const Config&);
-template void seed_plan_cache<double>(Mode, index_t, index_t, index_t,
-                                      const TuneResult&, const Config&);
 
 }  // namespace shalom::tuning

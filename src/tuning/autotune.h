@@ -49,15 +49,4 @@ template <typename T>
 TuneResult tune(Mode mode, index_t M, index_t N, index_t K,
                 const Config& base = {}, const TuneOptions& opt = {});
 
-/// Installs a plan built from `result.config` (the tuned blocking) into
-/// the global plan cache under the keys a plain `base`-config
-/// shalom::gemm call would compute for this shape, so tuned blockings
-/// persist across calls with no per-call Config overrides. Covers both
-/// leading-dimension classes. Note: a tuned blocking changes the K-loop
-/// split, so results may differ from the analytic blocking by normal
-/// floating-point reassociation.
-template <typename T>
-void seed_plan_cache(Mode mode, index_t M, index_t N, index_t K,
-                     const TuneResult& result, const Config& base = {});
-
 }  // namespace shalom::tuning

@@ -4,12 +4,10 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <thread>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -18,8 +16,7 @@
 #include "common/health.h"
 #include "common/thread_annotations.h"
 #include "core/kernel_contracts.h"
-#include "core/plan_cache.h"
-#include "core/shalom.h"
+#include "core/plan.h"
 
 namespace shalom::tuning {
 
@@ -207,23 +204,21 @@ TunedRecord decode(const unsigned char* buf) {
   return r;
 }
 
-/// Builds and installs the tuned plan for one validated record. Plan
-/// construction may still throw (allocation pressure, a contract the
-/// planner enforces beyond table_validate); any failure rejects just
-/// this record.
+/// Plans one validated record with its blocking once before it may be
+/// published. Plan construction may still throw (allocation pressure, a
+/// contract the planner enforces beyond table_validate); any failure
+/// rejects just this record.
 template <typename T>
-bool seed_record(const TunedRecord& rec) noexcept {
+bool plannable(const TunedRecord& rec) noexcept {
   try {
     const Mode mode{rec.trans_a ? Trans::T : Trans::N,
                     rec.trans_b ? Trans::T : Trans::N};
-    Config base;
-    base.threads = rec.threads;
-    TuneResult result;
-    result.config = base;
-    result.config.kc_override = rec.kc;
-    result.config.mc_override = rec.mc;
-    result.config.nc_override = rec.nc;
-    seed_plan_cache<T>(mode, rec.m, rec.n, rec.k, result, base);
+    Config cfg;
+    cfg.threads = rec.threads;
+    cfg.kc_override = rec.kc;
+    cfg.mc_override = rec.mc;
+    cfg.nc_override = rec.nc;
+    (void)plan_create<T>(mode, rec.m, rec.n, rec.k, cfg);
     return true;
   } catch (...) {
     return false;
@@ -279,9 +274,12 @@ std::size_t table_size() noexcept {
 
 void table_clear() noexcept {
   try {
-    Registry& reg = registry();
-    MutexLock lock(reg.mu);
-    reg.records.clear();
+    {
+      Registry& reg = registry();
+      MutexLock lock(reg.mu);
+      reg.records.clear();
+    }
+    reset_tuned();
   } catch (...) {
   }
 }
@@ -310,7 +308,7 @@ shalom_status table_load(const char* path) noexcept {
       return SHALOM_ERR_TABLE;
     }
 
-    // Phase 1: read and authenticate the whole file. Nothing is seeded
+    // Phase 1: read and authenticate the whole file. Nothing is published
     // until the header (magic, version, fingerprint, CRC) checks out and
     // every declared record was physically present - a truncated file
     // rejects as a whole, so a partial load can never masquerade as a
@@ -339,9 +337,11 @@ shalom_status table_load(const char* path) noexcept {
       return SHALOM_ERR_TABLE;
     }
 
-    // Phase 2: per-record checksum + semantic validation + seeding.
+    // Phase 2: per-record checksum + semantic validation + a trial plan.
     // Rejection is per record: one flipped bit costs exactly that record,
     // never the rest of the table.
+    std::vector<TunedRecord> valid;
+    valid.reserve(raw.size());
     for (const auto& buf : raw) {
       if (get_u32(buf.data() + 60) != crc32(buf.data(), 60)) {
         telemetry::note_table_record_rejected();
@@ -352,15 +352,17 @@ shalom_status table_load(const char* path) noexcept {
         telemetry::note_table_record_rejected();
         continue;
       }
-      const bool seeded =
-          rec.dtype == 's' ? seed_record<float>(rec) : seed_record<double>(rec);
-      if (!seeded) {
+      const bool ok =
+          rec.dtype == 's' ? plannable<float>(rec) : plannable<double>(rec);
+      if (!ok) {
         telemetry::note_table_record_rejected();
         continue;
       }
       register_unchecked(rec);
-      g_records_loaded.fetch_add(1, std::memory_order_relaxed);
+      valid.push_back(rec);
     }
+    if (!valid.empty()) publish_tuned(valid);
+    g_records_loaded.fetch_add(valid.size(), std::memory_order_relaxed);
     health::report_recovered(health::Component::kTunedTable);
     return SHALOM_OK;
   } catch (...) {
@@ -458,173 +460,5 @@ struct TableEnvInit {
 } g_table_env_init;
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Retuner
-// ---------------------------------------------------------------------------
-
-struct Retuner::Impl {
-  enum class State { kIdle, kRunning, kDraining };
-
-  RetunerOptions opt;
-
-  mutable Mutex mu;
-  std::condition_variable_any cv;
-  State state SHALOM_GUARDED_BY(mu) = State::kIdle;
-  bool kicked SHALOM_GUARDED_BY(mu) = false;
-
-  std::thread worker;
-  std::atomic<std::uint64_t> cycles{0};
-  std::atomic<std::uint64_t> promoted{0};
-
-  explicit Impl(RetunerOptions o) : opt(std::move(o)) {}
-
-  bool should_stop() const {
-    MutexLock lock(mu);
-    return state != State::kRunning;
-  }
-
-  /// Promotes up to `budget` hot shapes of one element type: samples the
-  /// cache's hot snapshot, skips shapes that already carry a tuned
-  /// record, tunes the rest and installs result + record. A shape that
-  /// fails to tune is skipped (and retried naturally next cycle if still
-  /// hot).
-  template <typename T>
-  void promote(char dtype, int& budget) {
-    const std::vector<HotShape> hot = PlanCache<T>::global().hot(
-        static_cast<std::size_t>(opt.top_k > 0 ? opt.top_k : 0));
-    for (const HotShape& h : hot) {
-      if (budget <= 0 || should_stop()) return;
-      TunedRecord rec;
-      rec.dtype = dtype;
-      rec.trans_a = h.key.trans_a != 0;
-      rec.trans_b = h.key.trans_b != 0;
-      rec.threads = h.key.threads;
-      rec.m = h.key.m;
-      rec.n = h.key.n;
-      rec.k = h.key.k;
-      {
-        Registry& reg = registry();
-        MutexLock lock(reg.mu);
-        if (reg.records.find(key_of(rec)) != reg.records.end()) continue;
-      }
-      try {
-        const Mode mode{rec.trans_a ? Trans::T : Trans::N,
-                        rec.trans_b ? Trans::T : Trans::N};
-        Config base = opt.base;
-        base.threads = rec.threads;
-        const TuneResult result =
-            tune<T>(mode, rec.m, rec.n, rec.k, base, opt.tune);
-        seed_plan_cache<T>(mode, rec.m, rec.n, rec.k, result, base);
-        rec.kc = result.config.kc_override;
-        rec.mc = result.config.mc_override;
-        rec.nc = result.config.nc_override;
-        if (table_record(rec)) {
-          promoted.fetch_add(1, std::memory_order_relaxed);
-          --budget;
-        }
-      } catch (...) {
-        // Promotion is an optimization; a shape that cannot be measured
-        // (allocation pressure, a racing clear) is simply not promoted.
-      }
-    }
-  }
-
-  void run() {
-    for (;;) {
-      {
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::milliseconds(opt.period_ms > 0 ? opt.period_ms : 0);
-        MutexLock lock(mu);
-        while (state == State::kRunning && !kicked) {
-          if (cv.wait_until(lock, deadline) == std::cv_status::timeout) break;
-        }
-        if (state != State::kRunning) return;
-        kicked = false;
-      }
-      int budget = opt.max_tunes_per_cycle;
-      promote<float>('s', budget);
-      promote<double>('d', budget);
-      cycles.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-};
-
-Retuner::Retuner(RetunerOptions opt)
-    : impl_(std::make_unique<Impl>(std::move(opt))) {}
-
-Retuner::~Retuner() { (void)stop(); }
-
-bool Retuner::start() noexcept {
-  try {
-    MutexLock lock(impl_->mu);
-    if (impl_->state != Impl::State::kIdle) return false;
-    impl_->state = Impl::State::kRunning;
-    impl_->kicked = false;
-    try {
-      impl_->worker = std::thread([this] { impl_->run(); });
-    } catch (...) {
-      impl_->state = Impl::State::kIdle;
-      return false;
-    }
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-shalom_status Retuner::stop() noexcept {
-  try {
-    bool was_running = false;
-    {
-      MutexLock lock(impl_->mu);
-      if (impl_->state == Impl::State::kRunning) {
-        impl_->state = Impl::State::kDraining;
-        was_running = true;
-      }
-    }
-    impl_->cv.notify_all();
-    if (impl_->worker.joinable()) impl_->worker.join();
-    {
-      MutexLock lock(impl_->mu);
-      impl_->state = Impl::State::kIdle;
-    }
-    if (was_running && !impl_->opt.save_path.empty())
-      return table_save(impl_->opt.save_path.c_str());
-    return SHALOM_OK;
-  } catch (...) {
-    return SHALOM_ERR_INTERNAL;
-  }
-}
-
-bool Retuner::running() const noexcept {
-  try {
-    MutexLock lock(impl_->mu);
-    return impl_->state == Impl::State::kRunning;
-  } catch (...) {
-    return false;
-  }
-}
-
-std::uint64_t Retuner::cycles() const noexcept {
-  return impl_->cycles.load(std::memory_order_relaxed);
-}
-
-std::uint64_t Retuner::promoted() const noexcept {
-  return impl_->promoted.load(std::memory_order_relaxed);
-}
-
-void Retuner::kick() noexcept {
-  try {
-    {
-      MutexLock lock(impl_->mu);
-      if (impl_->state != Impl::State::kRunning) return;
-      impl_->kicked = true;
-    }
-    impl_->cv.notify_all();
-  } catch (...) {
-  }
-}
 
 }  // namespace shalom::tuning

@@ -2,12 +2,11 @@
 // auto-tuner (ROADMAP "IAAT" item; the persistent-table half of
 // input-aware adaptive tuning).
 //
-// A production restart starts cold: every hot shape pays the full
-// plan-build (and, with a re-tuner, the full measurement) cost again on
-// the first wave of requests. This module persists tuned blockings to a
-// small versioned binary file and replays them into the sharded plan
-// cache at startup, so the first request after a restart already runs
-// the tuned plan.
+// A production restart starts cold: every tuned blocking the auto-tuner
+// found is lost with the process. This module persists tuned blockings
+// to a small versioned binary file and publishes them at startup as
+// blocking overrides that plan_create reads (core/plan.h publish_tuned),
+// so the first request after a restart already runs the tuned blocking.
 //
 // The store is held to the same robustness bar as the rest of the stack:
 //
@@ -20,9 +19,9 @@
 //     (table_load_failures), and either way the process degrades to a
 //     correct cold start. No failure path throws past the API.
 //   * Every record is re-validated against the kernel contracts
-//     (core/kernel_contracts.h bounds, the kc clamp) before it may seed
-//     the plan cache: even a record with a valid checksum cannot install
-//     a blocking the kernels can't legally run.
+//     (core/kernel_contracts.h bounds, the kc clamp) and planned once
+//     before it is published: even a record with a valid checksum cannot
+//     install a blocking the kernels can't legally run.
 //   * Atomic commit on save: write <path>.tmp, fsync, rename. A crash or
 //     injected I/O fault (`table.open/read/write/rename/fsync` sites in
 //     common/fault.h) at any point leaves the previous table
@@ -31,40 +30,25 @@
 // Loading happens explicitly (table_load / the shalom_table_load C entry
 // point) or automatically at startup when SHALOM_TUNED_TABLE names a
 // file (active in binaries that link this translation unit).
-//
-// The Retuner closes the loop: a bounded background thread (PR 7
-// lifecycle discipline: running -> draining -> joined) that samples the
-// plan cache's hot-shape snapshot (PlanCache::hot), promotes shapes that
-// have no tuned record yet by running the empirical tuner on them, and
-// saves the table atomically on demand and at shutdown.
+
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 
 #include "common/error.h"
-#include "core/types.h"
-#include "tuning/autotune.h"
+#include "core/plan.h"
 
 namespace shalom::tuning {
 
 /// One persisted tuned blocking: the shape key (dtype, transposes, dims,
 /// thread count) plus the blocking the tuner chose for it.
-struct TunedRecord {
-  char dtype = 's';           ///< 's' (float) or 'd' (double)
-  bool trans_a = false;
-  bool trans_b = false;
-  int threads = 1;            ///< resolved worker count the tuning targeted
-  index_t m = 0, n = 0, k = 0;
-  index_t kc = 0, mc = 0, nc = 0;  ///< tuned blocking (all >= 1)
-};
+using TunedRecord = TunedBlocking;
 
 /// Cumulative counters for the table subsystem, process-wide. The two
 /// failure counters mirror robustness_stats().table_records_rejected /
 /// .table_load_failures (same underlying counters).
 struct TableStats {
-  std::uint64_t records_loaded = 0;    ///< records validated and seeded
+  std::uint64_t records_loaded = 0;    ///< records validated and published
   std::uint64_t records_rejected = 0;  ///< records skipped by validation
   std::uint64_t load_failures = 0;     ///< whole-file load/save failures
   std::uint64_t saves = 0;             ///< atomic commits completed
@@ -75,7 +59,7 @@ struct TableStats {
 /// Semantic validation: true when `rec` describes a blocking the kernels
 /// can legally run (dtype/trans flags well-formed, dims and threads in
 /// range, 1 <= kc <= contracts::kMaxKc, mc/nc >= 1). The same oracle the
-/// loader applies before any record may seed the plan cache.
+/// loader applies before any record may be published.
 bool table_validate(const TunedRecord& rec) noexcept;
 
 /// Registers (or replaces) one tuned blocking in the in-memory table so
@@ -86,15 +70,16 @@ bool table_record(const TunedRecord& rec) noexcept;
 /// Number of records currently registered.
 std::size_t table_size() noexcept;
 
-/// Drops every registered record (the on-disk table is untouched).
+/// Drops every registered record and the published overrides (the
+/// on-disk table is untouched).
 void table_clear() noexcept;
 
 TableStats table_stats() noexcept;
 
 /// Loads `path`, validates header and records, registers the valid
-/// records and pre-seeds the global plan cache with each of them
-/// (tuning::seed_plan_cache semantics: plans keyed as plain-config calls
-/// compute them). Invalid records are skipped with telemetry; a missing,
+/// records and publishes them as blocking overrides (publish_tuned: a
+/// plain-config call of a record's exact shape plans with its blocking).
+/// Invalid records are skipped with telemetry; a missing,
 /// truncated, corrupt, or version/fingerprint-skewed file fails as a
 /// whole with SHALOM_ERR_TABLE and the process continues cold. Never
 /// throws.
@@ -112,65 +97,5 @@ shalom_status table_save(const char* path) noexcept;
 inline constexpr std::size_t kTableHeaderBytes = 36;
 inline constexpr std::size_t kTableRecordBytes = 64;
 inline constexpr std::uint32_t kTableFormatVersion = 1;
-
-/// Background hot-shape promotion.
-struct RetunerOptions {
-  /// Scan period: the worker wakes this often to sample PlanCache::hot.
-  int period_ms = 1000;
-  /// Hot-shape snapshot depth sampled per element type each cycle.
-  int top_k = 8;
-  /// At most this many shapes are tuned (measured!) per cycle, keeping
-  /// each cycle's CPU tax bounded.
-  int max_tunes_per_cycle = 1;
-  /// Search options for each promotion (reps/scales).
-  TuneOptions tune;
-  /// Base config for tuning/seeding; its threads field is overridden per
-  /// promoted shape by the thread count observed in the cache key.
-  Config base;
-  /// When non-empty, stop() saves the table here atomically after the
-  /// worker joins ("save on shutdown").
-  std::string save_path;
-};
-
-/// Bounded, abortable background re-tuner with the stream lifecycle
-/// discipline: start() spawns the worker (running), stop() moves it to
-/// draining - the current cycle finishes, no new one starts - then joins
-/// it and, when save_path is set, commits the table atomically. The
-/// destructor calls stop(). Promotion errors (a shape that fails to
-/// tune) are swallowed: the re-tuner is an optimization, never a
-/// correctness dependency.
-class Retuner {
- public:
-  explicit Retuner(RetunerOptions opt = {});
-  ~Retuner();
-
-  Retuner(const Retuner&) = delete;
-  Retuner& operator=(const Retuner&) = delete;
-
-  /// Spawns the worker. False when already running or the spawn failed
-  /// (the re-tuner then simply never promotes - cold behaviour, not an
-  /// error).
-  bool start() noexcept;
-
-  /// running -> draining -> joined; idempotent. Saves to save_path (when
-  /// set) after the join, returning that save's status (SHALOM_OK when
-  /// no save was requested or the re-tuner never ran).
-  shalom_status stop() noexcept;
-
-  bool running() const noexcept;
-
-  /// Completed scan cycles.
-  std::uint64_t cycles() const noexcept;
-  /// Shapes promoted (tuned + seeded + registered).
-  std::uint64_t promoted() const noexcept;
-
-  /// Wakes the worker immediately for one out-of-band cycle (testing /
-  /// operator hook); no-op when not running.
-  void kick() noexcept;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace shalom::tuning

@@ -80,7 +80,7 @@ Case draw(SplitMix64& rng, bool bitwise_scalar) {
   c.cfg.selective_packing = rng.next_u64() % 4 != 0;
   c.cfg.fused_packing = rng.next_u64() % 4 != 0;
   c.cfg.optimized_edges = rng.next_u64() % 4 != 0;
-  c.cfg.use_plan_cache = rng.next_u64() % 2 != 0;
+  (void)rng.next_u64();  // retired plan-cache toggle: keeps old seeds valid
   c.cfg.threads = 1 + static_cast<int>(rng.next_u64() % 4);
   if (bitwise_scalar) c.cfg.kc_override = c.k;
   return c;
@@ -126,7 +126,7 @@ bool run_case(const Case& c, std::uint64_t seed, long iter,
             stderr,
             "fuzz_gemm: MISMATCH iter=%ld seed=%" PRIu64
             " mode=%c%c m=%td n=%td k=%td lda=%td ldb=%td ldc=%td "
-            "alpha=%g beta=%g threads=%d flags=%d%d%d cache=%d "
+            "alpha=%g beta=%g threads=%d flags=%d%d%d "
             "at (%td,%td): got %.9g want %.9g\n"
             "reproduce: fuzz_gemm --iters %ld --seed %" PRIu64 "%s\n",
             iter, seed, c.mode.a == Trans::N ? 'N' : 'T',
@@ -134,7 +134,7 @@ bool run_case(const Case& c, std::uint64_t seed, long iter,
             c.ldc, static_cast<double>(c.alpha),
             static_cast<double>(c.beta), c.cfg.threads,
             c.cfg.selective_packing, c.cfg.fused_packing,
-            c.cfg.optimized_edges, c.cfg.use_plan_cache, i, j,
+            c.cfg.optimized_edges, i, j,
             static_cast<double>(got), static_cast<double>(want), iter + 1,
             seed, bitwise ? " --bitwise-scalar" : "");
         return false;

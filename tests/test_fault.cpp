@@ -4,7 +4,7 @@
 // across any API boundary, and the matching telemetry counter bumped.
 //
 // Each TEST runs in its own process under ctest (gtest_discover_tests), so
-// global pool / plan-cache state never leaks between tests. The FaultEnv
+// global pool / selfcheck state never leaks between tests. The FaultEnv
 // tests are additionally registered with a SHALOM_FAULT environment value
 // by tests/CMakeLists.txt to cover the env-var arming path; run bare they
 // skip.
@@ -57,7 +57,7 @@ void expect_bitwise(const Matrix<T>& got, const Matrix<T>& want,
 
 TEST_F(FaultTest, TriggerModes) {
   using fault::Site;
-  const Site s = Site::kPlanCacheInsert;
+  const Site s = Site::kTableRename;  // nothing in this test reaches it
 
   fault::arm(s, fault::Mode::kOnce);
   EXPECT_TRUE(fault::should_fail(s));
@@ -87,29 +87,32 @@ TEST_F(FaultTest, SpecParsing) {
   EXPECT_TRUE(fault::armed(Site::kAllocPackArena));
   fault::disarm_all();
 
-  EXPECT_TRUE(
-      fault::arm_from_spec("alloc.plan:every-3,threadpool.spawn:fail-after-2"));
-  EXPECT_TRUE(fault::armed(Site::kAllocPlan));
+  EXPECT_TRUE(fault::arm_from_spec(
+      "engine.shed:every-3,threadpool.spawn:fail-after-2"));
+  EXPECT_TRUE(fault::armed(Site::kEngineShed));
   EXPECT_TRUE(fault::armed(Site::kThreadpoolSpawn));
   EXPECT_FALSE(fault::armed(Site::kAllocPackArena));
   fault::disarm_all();
 
   EXPECT_FALSE(fault::arm_from_spec("bogus.site:once"));
-  EXPECT_FALSE(fault::arm_from_spec("alloc.plan"));          // no spec
-  EXPECT_FALSE(fault::arm_from_spec("alloc.plan:every-0"));  // n must be > 0
-  EXPECT_FALSE(fault::arm_from_spec("alloc.plan:sometimes"));
-  EXPECT_FALSE(fault::armed(Site::kAllocPlan));
+  EXPECT_FALSE(fault::arm_from_spec("engine.shed"));          // no spec
+  EXPECT_FALSE(fault::arm_from_spec("engine.shed:every-0"));  // n must be > 0
+  EXPECT_FALSE(fault::arm_from_spec("engine.shed:sometimes"));
+  EXPECT_FALSE(fault::armed(Site::kEngineShed));
+  // The plan cache's sites went with it: unknown names, like any other.
+  EXPECT_FALSE(fault::arm_from_spec("alloc.plan:once"));
+  EXPECT_FALSE(fault::arm_from_spec("plan_cache.insert:fail-after-0"));
+  for (int i = 0; i < fault::kSiteCount; ++i)
+    EXPECT_FALSE(fault::armed(static_cast<Site>(i)));
   // Valid entries before a malformed one still arm.
-  EXPECT_FALSE(fault::arm_from_spec("plan_cache.insert:once,junk"));
-  EXPECT_TRUE(fault::armed(Site::kPlanCacheInsert));
+  EXPECT_FALSE(fault::arm_from_spec("table.rename:once,junk"));
+  EXPECT_TRUE(fault::armed(Site::kTableRename));
 }
 
 TEST_F(FaultTest, SiteNames) {
   using fault::Site;
   EXPECT_STREQ(fault::site_name(Site::kAllocPackArena), "alloc.pack_arena");
-  EXPECT_STREQ(fault::site_name(Site::kAllocPlan), "alloc.plan");
   EXPECT_STREQ(fault::site_name(Site::kThreadpoolSpawn), "threadpool.spawn");
-  EXPECT_STREQ(fault::site_name(Site::kPlanCacheInsert), "plan_cache.insert");
   EXPECT_STREQ(fault::site_name(Site::kSelfcheckProbe), "selfcheck.probe");
 }
 
@@ -222,7 +225,7 @@ TEST_F(FaultTest, SpawnFailureDegradesThreadsBitwise) {
   EXPECT_GT(s.faults_injected, 0u);
 
   // Undegraded pass: the pool can now grow to the full 16 threads. The
-  // partition is part of the cached plan, so per-element arithmetic is
+  // partition is part of the plan, so per-element arithmetic is
   // identical and the results must match bitwise.
   const int rc_full = shalom_sgemm('N', 'N', M, N, K, 1.0f, p.a.data(),
                                    p.a.ld(), p.b.data(), p.b.ld(), 0.5f,
@@ -254,59 +257,6 @@ TEST_F(FaultTest, PoolRunChunksOverDegradedPool) {
   fault::disarm_all();
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_GT(robustness_stats().threads_degraded, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// (c) Plan-cache failures -> uncached execution
-// ---------------------------------------------------------------------------
-
-TEST_F(FaultTest, PlanCacheInsertFailureBitwise) {
-  const index_t M = 48, N = 64, K = 72;
-  testing::Problem<float> p({Trans::N, Trans::N}, M, N, K);
-  Config cfg;
-  cfg.threads = 1;
-
-  Matrix<float> c_ref = p.c;
-  gemm(Trans::N, Trans::N, M, N, K, 2.0f, p.a.data(), p.a.ld(), p.b.data(),
-       p.b.ld(), 1.0f, c_ref.data(), c_ref.ld(), cfg);
-
-  // Invalidate the per-thread memo and the cache entry so the next call
-  // rebuilds the plan and reaches the insert site.
-  PlanCache<float>::global().clear();
-  fault::arm(fault::Site::kPlanCacheInsert, fault::Mode::kEveryN, 1);
-  gemm(Trans::N, Trans::N, M, N, K, 2.0f, p.a.data(), p.a.ld(), p.b.data(),
-       p.b.ld(), 1.0f, p.c.data(), p.c.ld(), cfg);
-  fault::disarm_all();
-
-  EXPECT_GT(robustness_stats().plan_cache_bypassed, 0u);
-  expect_bitwise(p.c, c_ref, "plan-cache insert failure");
-}
-
-TEST_F(FaultTest, PlanAllocFailureRunsUncachedBitwise) {
-  const index_t M = 56, N = 40, K = 64;
-  testing::Problem<double> p({Trans::N, Trans::N}, M, N, K);
-  Config cfg;
-  cfg.threads = 1;
-
-  Matrix<double> c_ref = p.c;
-  gemm(Trans::N, Trans::N, M, N, K, 1.5, p.a.data(), p.a.ld(), p.b.data(),
-       p.b.ld(), 0.25, c_ref.data(), c_ref.ld(), cfg);
-
-  PlanCache<double>::global().clear();
-  fault::arm(fault::Site::kAllocPlan, fault::Mode::kEveryN, 1);
-  gemm(Trans::N, Trans::N, M, N, K, 1.5, p.a.data(), p.a.ld(), p.b.data(),
-       p.b.ld(), 0.25, p.c.data(), p.c.ld(), cfg);
-  fault::disarm_all();
-
-  EXPECT_GT(robustness_stats().plan_cache_bypassed, 0u);
-  expect_bitwise(p.c, c_ref, "uncached fallback");
-
-  // The cache must not have latched a broken state: with the site
-  // disarmed, the same shape caches and executes normally again.
-  const std::uint64_t bypassed = robustness_stats().plan_cache_bypassed;
-  gemm(Trans::N, Trans::N, M, N, K, 1.5, p.a.data(), p.a.ld(), p.b.data(),
-       p.b.ld(), 0.25, p.c.data(), p.c.ld(), cfg);
-  EXPECT_EQ(robustness_stats().plan_cache_bypassed, bypassed);
 }
 
 // ---------------------------------------------------------------------------
@@ -343,7 +293,6 @@ TEST_F(FaultTest, CStatsMirrorCppCounters) {
 // degradation class once, snapshot, then reset back to all-zero.
 TEST_F(FaultTest, CStatsEveryCounterReachable) {
   selfcheck::reset_for_testing();
-  PlanCache<float>::global().clear();
   shalom_reset_stats();
 
   // numeric_anomalies: NaN operand under the count policy.
@@ -373,23 +322,12 @@ TEST_F(FaultTest, CStatsEveryCounterReachable) {
   fault::arm(fault::Site::kThreadpoolSpawn, fault::Mode::kEveryN, 1);
   pool_run(4, [](int) {});
   fault::disarm_all();
-  // plan_cache_bypassed: cache insert failure on a fresh shape.
-  {
-    testing::Problem<float> p({Trans::N, Trans::N}, 48, 64, 72);
-    PlanCache<float>::global().clear();
-    fault::arm(fault::Site::kPlanCacheInsert, fault::Mode::kEveryN, 1);
-    Config cfg;
-    cfg.threads = 1;
-    gemm(Trans::N, Trans::N, p.m, p.n, p.k, 2.0f, p.a.data(), p.a.ld(),
-         p.b.data(), p.b.ld(), 1.0f, p.c.data(), p.c.ld(), cfg);
-    fault::disarm_all();
-  }
 
   shalom_stats s;
   shalom_get_stats(&s);
   EXPECT_GT(s.fallback_nopack, 0u);
   EXPECT_GT(s.threads_degraded, 0u);
-  EXPECT_GT(s.plan_cache_bypassed, 0u);
+  EXPECT_EQ(s.plan_cache_bypassed, 0u);  // retired with the plan cache
   EXPECT_GT(s.faults_injected, 0u);
   EXPECT_GT(s.kernels_quarantined, 0u);
   EXPECT_GT(s.selfchecks_run, 0u);
@@ -406,7 +344,6 @@ TEST_F(FaultTest, CStatsEveryCounterReachable) {
   EXPECT_EQ(s.numeric_anomalies, 0u);
 
   selfcheck::reset_for_testing();
-  PlanCache<float>::global().clear();
 }
 
 // ---------------------------------------------------------------------------
@@ -431,7 +368,6 @@ TEST(StatsRace, ConcurrentNotesSnapshotsAndResets) {
       for (int i = 0; i < kItersPerWriter; ++i) {
         telemetry::note_fallback_nopack();
         telemetry::note_threads_degraded();
-        telemetry::note_plan_cache_bypassed();
         telemetry::note_kernel_quarantined();
         telemetry::note_selfcheck_run();
         telemetry::note_numeric_anomaly();
@@ -485,8 +421,8 @@ TEST(FaultEnv, DegradesUnderEnvInjection) {
     GTEST_SKIP() << "SHALOM_FAULT not set";
   robustness_stats_reset();
 
-  // A serial workload that visits every allocator/cache site: plan-cache
-  // build + insert, pack-arena reservation (B packing forced by K*N).
+  // A serial workload that reaches the pack-arena reservation site (B
+  // packing forced by K*N) on every execution.
   const index_t M = 48, N = 256, K = 256;
   testing::Problem<float> p({Trans::N, Trans::N}, M, N, K);
   Config cfg;

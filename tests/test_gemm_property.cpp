@@ -2,8 +2,8 @@
 // shapes, modes, scalars (including zero, +/-1 and NaN-free denormals),
 // paddings (including non-contiguous ldc > N), thread counts and feature
 // flags, all checked against the naive oracle. Every case runs through
-// BOTH the per-call direct driver and the shape-keyed plan-cache path and
-// the two must agree bitwise. Complements the structured sweeps in
+// BOTH gemm and a caller-held plan_create/plan_execute, and the two must
+// agree bitwise. Complements the structured sweeps in
 // test_gemm_correctness.cpp by exploring the parameter space jointly.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include "common/fault.h"
 #include "common/rng.h"
+#include "core/plan.h"
 #include "core/shalom.h"
 #include "core/shalom_c.h"
 #include "tests/test_util.h"
@@ -73,24 +74,22 @@ void run_case(const RandomCase& c, int iteration) {
                << " flags=" << c.cfg.selective_packing
                << c.cfg.fused_packing << c.cfg.optimized_edges);
 
-  // Identically seeded problems: one through the per-call direct driver,
-  // one through the plan-cache path.
+  // Identically seeded problems: one through gemm, one through a
+  // caller-held plan_create/plan_execute.
   testing::Problem<float> direct(c.mode, c.m, c.n, c.k, c.pad, c.pad,
                                  c.pad_c);
   testing::Problem<float> planned(c.mode, c.m, c.n, c.k, c.pad, c.pad,
                                   c.pad_c);
 
-  Config direct_cfg = c.cfg;
-  direct_cfg.use_plan_cache = false;
   gemm(c.mode.a, c.mode.b, direct.m, direct.n, direct.k, c.alpha,
        direct.a.data(), direct.a.ld(), direct.b.data(), direct.b.ld(),
-       c.beta, direct.c.data(), direct.c.ld(), direct_cfg);
+       c.beta, direct.c.data(), direct.c.ld(), c.cfg);
 
-  Config plan_cfg = c.cfg;
-  plan_cfg.use_plan_cache = true;
-  gemm(c.mode.a, c.mode.b, planned.m, planned.n, planned.k, c.alpha,
-       planned.a.data(), planned.a.ld(), planned.b.data(), planned.b.ld(),
-       c.beta, planned.c.data(), planned.c.ld(), plan_cfg);
+  const GemmPlan<float> plan =
+      plan_create<float>(c.mode, c.m, c.n, c.k, c.cfg);
+  plan_execute(plan, c.alpha, planned.a.data(), planned.a.ld(),
+               planned.b.data(), planned.b.ld(), c.beta, planned.c.data(),
+               planned.c.ld());
 
   direct.run_reference(c.alpha, c.beta);
   direct.expect_matches("property (direct path)");
@@ -140,9 +139,8 @@ TEST(GemmProperty, DenormalScalarsWithWideLdc) {
 TEST(GemmProperty, DegenerateShapesShortCircuit) {
   // M==0 / N==0: success, C untouched. K==0: success, C = beta*C exactly
   // (beta==1 leaves C bitwise untouched; beta==0 writes zeros even over
-  // NaN garbage). None of these may reach the packing/plan machinery -
-  // verified indirectly: the plan cache gains no entries and no fallback
-  // telemetry fires.
+  // NaN garbage). None of these may reach the packing machinery -
+  // verified indirectly: no fallback telemetry fires.
   struct Shape {
     index_t m, n, k;
   };
@@ -150,7 +148,6 @@ TEST(GemmProperty, DegenerateShapesShortCircuit) {
                           {3, 3, 0}, {0, 0, 7}};
   const float betas[] = {0.f, 1.f, -0.5f, 2.f};
   robustness_stats_reset();
-  const std::size_t cache_before = PlanCache<float>::global().stats().size;
 
   for (const Mode mode : testing::kAllModes) {
     for (const Shape& s : shapes) {
@@ -220,8 +217,7 @@ TEST(GemmProperty, DegenerateShapesShortCircuit) {
     }
   }
 
-  // No degenerate call may have built/cached a plan or degraded anything.
-  EXPECT_EQ(PlanCache<float>::global().stats().size, cache_before);
+  // No degenerate call may have degraded anything.
   const RobustnessStats after = robustness_stats();
   EXPECT_EQ(after.fallback_nopack, 0u);
   EXPECT_EQ(after.threads_degraded, 0u);

@@ -1,9 +1,8 @@
-// Concurrency stress for the global plan cache: many threads hammer
-// overlapping shape sets through the cached gemm entry point while the
-// main thread drives gemm_batch (whose pool workers also consult the
-// cache), with a deliberately tiny cache capacity so insertion, hit and
-// eviction paths all race. Asserts numerically correct results on every
-// thread and a bounded cache; run under `ctest -L stress`, and build with
+// Concurrency stress for the planning and execution paths: many threads
+// hammer overlapping shape sets through gemm while the main thread drives
+// gemm_batch over the fork-join pool, so per-call planning, the per-thread
+// pack arenas and the pool all race. Asserts numerically correct results
+// on every thread; run under `ctest -L stress`, and build with
 // -DSHALOM_SANITIZE=thread to have ThreadSanitizer check the same run
 // (scripts/tier1.sh does exactly that).
 //
@@ -11,11 +10,8 @@
 // callers and is safe to drive from several threads concurrently (the
 // documented plan contract); the tests below exercise exactly that -
 // shared parallel plans executed from many threads at once, and racing
-// parallel plan creations whose arena pre-reservation rounds contend for
-// the pool. The PlanCacheSharding tests pin down the property the
-// sharded cache (core/plan_cache.h) must preserve: observable behaviour -
-// summed stats, the total capacity bound, exact global LRU order -
-// identical to the original single-mutex cache.
+// parallel gemm calls whose rounds contend for the pool and grow the
+// workers' arenas on first use.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -25,7 +21,6 @@
 
 #include "core/batch.h"
 #include "core/plan.h"
-#include "core/plan_cache.h"
 #include "core/shalom.h"
 #include "tests/test_util.h"
 
@@ -37,9 +32,8 @@ struct StressShape {
   index_t m, n, k;
 };
 
-// Overlapping working set: more distinct keys than cache capacity, with
-// every thread cycling through all of them so the same keys are
-// simultaneously hit by some threads and (re)created by others.
+// Overlapping working set: every thread cycles through all of it, so the
+// same shapes are planned and executed by several threads at once.
 std::vector<StressShape> stress_shapes() {
   std::vector<StressShape> shapes;
   for (const Mode mode : testing::kAllModes) {
@@ -52,14 +46,14 @@ std::vector<StressShape> stress_shapes() {
   return shapes;
 }
 
-/// Worker body: runs `iters` cached serial GEMMs over the shape set and
+/// Worker body: runs `iters` serial GEMMs over the shape set and
 /// reports the worst deviation from the naive oracle. GTest assertions
 /// are not thread-safe, so failures are accumulated and checked by the
 /// main thread after the join.
 void hammer(const std::vector<StressShape>& shapes, int thread_id,
             int iters, std::atomic<int>* mismatches) {
   Config cfg;
-  cfg.threads = 1;  // serial products; the cache is the shared resource
+  cfg.threads = 1;  // serial products; arenas and the pool are shared
   for (int it = 0; it < iters; ++it) {
     const StressShape& s = shapes[(thread_id + it) % shapes.size()];
     testing::Problem<float> p(s.mode, s.m, s.n, s.k);
@@ -81,11 +75,7 @@ void hammer(const std::vector<StressShape>& shapes, int thread_id,
   }
 }
 
-TEST(PlanCacheStress, ConcurrentHammerWithBatch) {
-  auto& cache = PlanCache<float>::global();
-  cache.clear();
-  cache.set_capacity(8);  // far below the ~20 distinct keys in flight
-
+TEST(GemmStress, ConcurrentHammerWithBatch) {
   const std::vector<StressShape> shapes = stress_shapes();
   constexpr int kThreads = 8;
   constexpr int kIters = 60;
@@ -97,7 +87,7 @@ TEST(PlanCacheStress, ConcurrentHammerWithBatch) {
     threads.emplace_back(hammer, std::cref(shapes), t, kIters, &mismatches);
 
   // Meanwhile: batched traffic through the fork-join pool, whose workers
-  // consult the same cache for every entry.
+  // plan every entry in place.
   const Mode batch_mode{Trans::N, Trans::T};
   Config batch_cfg;
   batch_cfg.threads = 4;
@@ -123,22 +113,11 @@ TEST(PlanCacheStress, ConcurrentHammerWithBatch) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0)
       << "some hammer thread produced a wrong product";
-
-  const PlanCacheStats st = cache.stats();
-  EXPECT_LE(st.size, 8u) << "cache exceeded its capacity bound";
-  EXPECT_GT(st.hits, 0u);
-  EXPECT_GT(st.evictions, 0u);
-
-  cache.set_capacity(PlanCache<float>::kDefaultCapacity);
-  cache.clear();
 }
 
-TEST(PlanCacheStress, RacingCreatorsOnOneKeyAgree) {
-  // All threads miss the same fresh key at once: every call must still
-  // return a correct product regardless of which creator's plan lands.
-  auto& cache = PlanCache<float>::global();
-  cache.clear();
-
+TEST(GemmStress, RacingCallersOnOneShapeAgree) {
+  // All threads plan and run the same shape at once: every call must
+  // return a correct product.
   constexpr int kThreads = 8;
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
@@ -162,8 +141,6 @@ TEST(PlanCacheStress, RacingCreatorsOnOneKeyAgree) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_LE(cache.stats().size, 1u);
-  cache.clear();
 }
 
 /// Counts elements of p.c that deviate from p.c_ref beyond tolerance
@@ -179,7 +156,7 @@ int count_mismatches(const testing::Problem<float>& p) {
   return bad;
 }
 
-TEST(PlanCacheStress, ConcurrentParallelPlanExecution) {
+TEST(GemmStress, ConcurrentParallelPlanExecution) {
   // Many threads execute one shared threads>1 plan simultaneously: their
   // fork-join rounds overlap on the work-stealing pool, and every
   // execution must still produce the exact product (the documented plan
@@ -214,13 +191,10 @@ TEST(PlanCacheStress, ConcurrentParallelPlanExecution) {
       << "concurrent executions of a shared parallel plan diverged";
 }
 
-TEST(PlanCacheStress, RacingParallelPlanCreators) {
-  // Concurrent cache misses on threads>1 keys: each creator runs the
-  // creation-time arena pre-reservation parallel_for, contending for the
-  // pool with the other creators and with the executions that follow.
-  auto& cache = PlanCache<float>::global();
-  cache.clear();
-
+TEST(GemmStress, RacingParallelPlanCreators) {
+  // Concurrent threads>1 calls on fresh shapes: each plans in place and
+  // runs its fork-join round, contending for the pool with the other
+  // callers while the workers grow their arenas on first use.
   constexpr int kCreators = 6;
   std::atomic<int> mismatches{0};
   std::vector<std::thread> creators;
@@ -244,112 +218,6 @@ TEST(PlanCacheStress, RacingParallelPlanCreators) {
   for (auto& t : creators) t.join();
   EXPECT_EQ(mismatches.load(), 0)
       << "racing parallel plan creation/execution produced wrong products";
-  cache.clear();
-}
-
-// ---------------------------------------------------------------------------
-// Sharded-cache properties (PR 1 semantics over 16 shards)
-// ---------------------------------------------------------------------------
-
-/// Serial-plan key for an m x n x k NN shape with default Config.
-PlanKey key_for(index_t m, index_t n, index_t k, const Config& cfg) {
-  return make_plan_key({Trans::N, Trans::N}, m, n, k, LdClass::kContiguous,
-                       /*threads=*/1, cfg);
-}
-
-// Single-threaded ground truth: with keys spread across shards, stats()
-// must still behave like one LRU map - exact miss/hit counts, the TOTAL
-// size bounded by capacity, and the eviction victim chosen by GLOBAL
-// recency (not per-shard recency).
-TEST(PlanCacheSharding, SummedStatsAndGlobalLruMatchSingleMapSemantics) {
-  auto& cache = PlanCache<float>::global();
-  cache.clear();
-  cache.set_capacity(4);
-  const Config cfg;
-  const Mode mode{Trans::N, Trans::N};
-
-  // 8 distinct keys through get_or_create: 8 misses, then size == 4 with
-  // exactly 4 evictions - and the survivors are the 4 most recent.
-  std::vector<PlanKey> keys;
-  for (index_t i = 0; i < 8; ++i) {
-    const index_t m = 4 + i;
-    keys.push_back(key_for(m, 6, 5, cfg));
-    ASSERT_NE(cache.get_or_create(keys.back(), mode, m, 6, 5, cfg), nullptr);
-  }
-  PlanCacheStats st = cache.stats();
-  EXPECT_EQ(st.misses, 8u);
-  EXPECT_EQ(st.hits, 0u);
-  EXPECT_EQ(st.size, 4u);
-  EXPECT_EQ(st.evictions, 4u);
-  EXPECT_EQ(st.capacity, 4u);
-  for (int i = 0; i < 4; ++i)
-    EXPECT_EQ(cache.lookup(keys[static_cast<std::size_t>(i)]), nullptr)
-        << "key " << i << " should have aged out";
-
-  // Re-touch the OLDEST resident (keys[4]), then insert a fresh key: the
-  // eviction must take keys[5] - the global LRU - even though keys[4]
-  // and keys[5] may live in different shards.
-  ASSERT_NE(cache.lookup(keys[4]), nullptr);
-  const PlanKey fresh = key_for(40, 6, 5, cfg);
-  ASSERT_NE(cache.get_or_create(fresh, mode, 40, 6, 5, cfg), nullptr);
-  EXPECT_NE(cache.lookup(keys[4]), nullptr)
-      << "recently touched entry must survive";
-  EXPECT_EQ(cache.lookup(keys[5]), nullptr)
-      << "global LRU entry must be the eviction victim";
-  st = cache.stats();
-  EXPECT_EQ(st.size, 4u);
-  // 9 creates + 4 aged-out probes + the keys[5] probe missed; the two
-  // keys[4] touches hit (lookup() counts both outcomes, PR 1 semantics).
-  EXPECT_EQ(st.misses, 14u);
-  EXPECT_EQ(st.hits, 2u);
-  EXPECT_EQ(st.evictions, 5u);
-
-  cache.set_capacity(PlanCache<float>::kDefaultCapacity);
-  cache.clear();
-}
-
-TEST(PlanCacheSharding, RacingInsertsKeepTotalSizeBounded) {
-  auto& cache = PlanCache<float>::global();
-  cache.clear();
-  cache.set_capacity(8);
-  const Config cfg;
-  const Mode mode{Trans::N, Trans::N};
-
-  // One real (tiny, serial) plan shared by every insert; the race under
-  // test is the cache bookkeeping, not plan construction.
-  const auto plan = std::make_shared<const GemmPlan<float>>(
-      plan_create<float>(mode, 4, 4, 4, cfg));
-
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 16;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        // Distinct keys across all threads -> every insert adds an entry
-        // and the total must keep collapsing back to capacity.
-        const index_t m = 4 + t * kPerThread + i;
-        cache.insert(key_for(m, 7, 6, cfg), plan);
-        (void)cache.lookup(key_for(4 + (m % 16), 7, 6, cfg));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  const PlanCacheStats st = cache.stats();
-  EXPECT_LE(st.size, 8u) << "capacity is a TOTAL bound across shards";
-  EXPECT_GE(st.evictions,
-            static_cast<std::uint64_t>(kThreads * kPerThread - 8))
-      << "every insert beyond capacity must have evicted";
-
-  // The cache is still coherent: a fresh miss inserts and serves.
-  const PlanKey probe = key_for(500, 7, 6, cfg);
-  EXPECT_NE(cache.get_or_create(probe, mode, 500, 7, 6, cfg), nullptr);
-  EXPECT_NE(cache.lookup(probe), nullptr);
-
-  cache.set_capacity(PlanCache<float>::kDefaultCapacity);
-  cache.clear();
 }
 
 }  // namespace

@@ -35,12 +35,9 @@
 namespace shalom {
 namespace {
 
-/// Resets quarantine verdicts AND the plan caches that snapshot them.
-void reset_guard_world() {
-  selfcheck::reset_for_testing();
-  PlanCache<float>::global().clear();
-  PlanCache<double>::global().clear();
-}
+/// Resets quarantine verdicts (every call plans afresh, so no plan
+/// outlives them).
+void reset_guard_world() { selfcheck::reset_for_testing(); }
 
 template <typename T>
 void expect_bitwise(const Matrix<T>& got, const Matrix<T>& want,

@@ -111,30 +111,30 @@ TEST_F(HealthTest, EnvKnobsParseWithFallback) {
 
 TEST_F(HealthTest, RegistryDegradeProbateRecover) {
   EXPECT_TRUE(health::all_healthy());
-  health::report_degraded(Component::kPlanCache, Cause::kOverload);
-  EXPECT_EQ(health::state(Component::kPlanCache), State::kDegraded);
-  EXPECT_EQ(health::cause(Component::kPlanCache), Cause::kOverload);
+  health::report_degraded(Component::kTunedTable, Cause::kOverload);
+  EXPECT_EQ(health::state(Component::kTunedTable), State::kDegraded);
+  EXPECT_EQ(health::cause(Component::kTunedTable), Cause::kOverload);
   EXPECT_FALSE(health::all_healthy());
 
   // Degrading again does not restart the cool-down, only the cause moves.
-  health::report_degraded(Component::kPlanCache, Cause::kInjected);
-  EXPECT_EQ(health::state(Component::kPlanCache), State::kDegraded);
-  EXPECT_EQ(health::cause(Component::kPlanCache), Cause::kInjected);
+  health::report_degraded(Component::kTunedTable, Cause::kInjected);
+  EXPECT_EQ(health::state(Component::kTunedTable), State::kDegraded);
+  EXPECT_EQ(health::cause(Component::kTunedTable), Cause::kInjected);
 
   if (!health::recovery_enabled()) {
-    EXPECT_FALSE(health::try_begin_probation(Component::kPlanCache))
+    EXPECT_FALSE(health::try_begin_probation(Component::kTunedTable))
         << "SHALOM_RECOVERY_MS=0 must keep every latch permanent";
     return;
   }
   // Cool-down still pending: probation refused.
-  EXPECT_FALSE(health::try_begin_probation(Component::kPlanCache));
+  EXPECT_FALSE(health::try_begin_probation(Component::kTunedTable));
   health::expire_cooldowns();
-  EXPECT_TRUE(health::try_begin_probation(Component::kPlanCache));
-  EXPECT_EQ(health::state(Component::kPlanCache), State::kProbation);
+  EXPECT_TRUE(health::try_begin_probation(Component::kTunedTable));
+  EXPECT_EQ(health::state(Component::kTunedTable), State::kProbation);
   // The probation owner is exclusive.
-  EXPECT_FALSE(health::try_begin_probation(Component::kPlanCache));
-  health::probation_succeeded(Component::kPlanCache);
-  EXPECT_EQ(health::state(Component::kPlanCache), State::kHealthy);
+  EXPECT_FALSE(health::try_begin_probation(Component::kTunedTable));
+  health::probation_succeeded(Component::kTunedTable);
+  EXPECT_EQ(health::state(Component::kTunedTable), State::kHealthy);
   EXPECT_TRUE(health::all_healthy());
   EXPECT_GE(robustness_stats().recoveries, 1u);
 }
@@ -200,12 +200,12 @@ TEST_F(HealthTest, RegistryQuarantineIsSticky) {
 TEST_F(HealthTest, RecoveryDisabledPreservesPermanentLatch) {
   if (health::recovery_enabled())
     GTEST_SKIP() << "needs the SHALOM_RECOVERY_MS=0 wrapper";
-  health::report_degraded(Component::kPlanCache, Cause::kOverload);
+  health::report_degraded(Component::kTunedTable, Cause::kOverload);
   health::expire_cooldowns();
-  EXPECT_FALSE(health::try_begin_probation(Component::kPlanCache));
+  EXPECT_FALSE(health::try_begin_probation(Component::kTunedTable));
   EXPECT_EQ(health::recover_now(), 0)
       << "recover_now must be inert with recovery disabled";
-  EXPECT_EQ(health::state(Component::kPlanCache), State::kDegraded);
+  EXPECT_EQ(health::state(Component::kTunedTable), State::kDegraded);
 
   selfcheck::quarantine(selfcheck::Variant::kMainF32PackedPacked,
                         Cause::kInjected);
@@ -267,10 +267,22 @@ TEST_F(HealthTest, RegistryNamesAreStable) {
   EXPECT_STREQ(health::component_name(Component::kKernels), "kernels");
   EXPECT_STREQ(health::component_name(Component::kStreamBreaker),
                "stream_breaker");
+  EXPECT_STREQ(health::component_name(Component::kTunedTable),
+               "tuned_table");
   EXPECT_STREQ(health::state_name(State::kProbation), "PROBATION");
   EXPECT_STREQ(health::cause_name(Cause::kOverload), "overload");
   for (int c = 0; c < health::kComponentCount; ++c)
-    EXPECT_NE(health::component_name(static_cast<Component>(c)), nullptr);
+    EXPECT_STRNE(health::component_name(static_cast<Component>(c)),
+                 "unknown");
+  // The C ids index the same rows (core/shalom_c.h).
+  EXPECT_EQ(SHALOM_HEALTH_COMPONENT_COUNT, health::kComponentCount);
+  EXPECT_EQ(SHALOM_HEALTH_KERNELS, static_cast<int>(Component::kKernels));
+  EXPECT_EQ(SHALOM_HEALTH_THREADPOOL,
+            static_cast<int>(Component::kThreadPool));
+  EXPECT_EQ(SHALOM_HEALTH_STREAM_BREAKER,
+            static_cast<int>(Component::kStreamBreaker));
+  EXPECT_EQ(SHALOM_HEALTH_TUNED_TABLE,
+            static_cast<int>(Component::kTunedTable));
 }
 
 // ---------------------------------------------------------------------------
@@ -424,7 +436,7 @@ TEST_F(HealthTest, PoolGlobalHookRunsProbation) {
   ThreadPool pool(4);
   fault::disarm_all();
   ASSERT_EQ(health::state(Component::kThreadPool), State::kDegraded);
-  health::report_degraded(Component::kPlanCache, Cause::kOverload);
+  health::report_degraded(Component::kTunedTable, Cause::kOverload);
 
   health::expire_cooldowns();
   EXPECT_GE(health::recover_now(), 1)
@@ -432,9 +444,9 @@ TEST_F(HealthTest, PoolGlobalHookRunsProbation) {
   EXPECT_EQ(health::state(Component::kThreadPool), State::kHealthy);
   EXPECT_GE(robustness_stats().probation_probes, 1u);
   EXPECT_GE(robustness_stats().recoveries, 1u);
-  // The plan cache registers no hook (its recovery is passive, on the
-  // next successful build), so recover_now leaves it degraded.
-  EXPECT_EQ(health::state(Component::kPlanCache), State::kDegraded);
+  // The tuned table registers no hook (its recovery is passive, on the
+  // next successful load or save), so recover_now leaves it degraded.
+  EXPECT_EQ(health::state(Component::kTunedTable), State::kDegraded);
 }
 
 // ---------------------------------------------------------------------------
@@ -683,6 +695,88 @@ TEST_F(HealthTest, BreakerHalfOpenWindowAdmitsAtMostN) {
   EXPECT_EQ(health::state(Component::kStreamBreaker), State::kHealthy);
 }
 
+// A half-open trial that admission control sheds still reports to its
+// window (as a failed trial). Otherwise the window stays full, no later
+// window can open, and the stream reports RECOVERING until close.
+TEST_F(HealthTest, BreakerShedTrialStillReportsToItsWindow) {
+  if (!SHALOM_FAULT_INJECTION)
+    GTEST_SKIP() << "built without SHALOM_FAULT_INJECTION";
+  if (!health::recovery_enabled())
+    GTEST_SKIP() << "recovery disabled (SHALOM_RECOVERY_MS=0)";
+  if (health::env_recovery_ms() > 1000)
+    GTEST_SKIP() << "SHALOM_RECOVERY_MS too large to sleep out twice";
+  const long base = health::env_recovery_ms();
+  const long n = health::env_probation_n();
+  if (n < 2) GTEST_SKIP() << "needs SHALOM_PROBATION_N >= 2";
+
+  engine::StreamOptions opts;
+  opts.threads = 1;
+  opts.retry_budget = 0;
+  opts.breaker_threshold = 1;
+  opts.queue_cap = 1;
+  opts.overload_policy =
+      static_cast<int>(engine::OverloadPolicy::kShedNewest);
+  engine::GemmStream stream(opts);
+  latch_stream(stream);
+  sleep_ms(base + 150);  // the trial window may now open
+
+  // The first trial keeps the drainer busy for far longer than the next
+  // submits take, so with a queue of one at least one later trial of
+  // the same window is shed.
+  testing::Problem<float> busy({Trans::N, Trans::N}, 512, 512, 512);
+  engine::TicketPtr tb = stream.submit<float>(
+      busy.mode, busy.m, busy.n, busy.k, 1.0f, busy.a.data(), busy.a.ld(),
+      busy.b.data(), busy.b.ld(), 0.0f, busy.c.data(), busy.c.ld());
+  std::vector<testing::Problem<float>> rest;
+  std::vector<engine::TicketPtr> tickets;
+  rest.reserve(static_cast<std::size_t>(n));
+  int shed = 0;
+  for (long i = 1; i < n; ++i) {
+    rest.emplace_back(Mode{Trans::N, Trans::N}, 12, 12, 12);
+    testing::Problem<float>& p = rest.back();
+    try {
+      tickets.push_back(stream.submit<float>(
+          p.mode, p.m, p.n, p.k, 1.0f, p.a.data(), p.a.ld(), p.b.data(),
+          p.b.ld(), 0.0f, p.c.data(), p.c.ld()));
+    } catch (const rejected_error&) {
+      ++shed;
+      tickets.push_back(nullptr);
+    }
+  }
+  ASSERT_GE(shed, 1) << "the busy trial did not keep the queue full";
+  EXPECT_EQ(tb->wait(), SHALOM_OK);
+  busy.run_reference(1.0f, 0.0f);
+  busy.expect_matches("busy trial");
+  for (std::size_t i = 0; i < tickets.size(); ++i) {
+    if (tickets[i] == nullptr) continue;
+    // Queued as a trial, or run inline once a shed trial re-latched.
+    const int rc = tickets[i]->wait();
+    EXPECT_TRUE(rc == SHALOM_OK || rc == SHALOM_DEGRADED) << rc;
+    rest[i].run_reference(1.0f, 0.0f);
+    rest[i].expect_matches("submit beside the busy trial");
+  }
+  EXPECT_GE(robustness_stats().probation_failures, 1u)
+      << "the shed trial must count as a failed probation";
+  EXPECT_EQ(stream.health(), engine::StreamHealth::kDegraded)
+      << "a failed trial re-latches the breaker";
+
+  // After the doubled cool-down a fresh window opens, and its clean
+  // trials (one at a time, so none meets a full queue) close the breaker.
+  sleep_ms(2 * base + 200);
+  for (long i = 0; i < n; ++i) {
+    testing::Problem<float> p({Trans::N, Trans::N}, 20, 20, 20);
+    engine::TicketPtr t = stream.submit<float>(
+        p.mode, p.m, p.n, p.k, 1.0f, p.a.data(), p.a.ld(), p.b.data(),
+        p.b.ld(), 0.0f, p.c.data(), p.c.ld());
+    ASSERT_EQ(t->wait(), SHALOM_OK) << "trial " << i << " ran inline";
+    p.run_reference(1.0f, 0.0f);
+    p.expect_matches("trial in a later window");
+  }
+  EXPECT_EQ(stream.health(), engine::StreamHealth::kOk)
+      << "the later window's clean trials must close the breaker";
+  EXPECT_EQ(health::state(Component::kStreamBreaker), State::kHealthy);
+}
+
 // ---------------------------------------------------------------------------
 // Forced recovery racing live traffic
 // ---------------------------------------------------------------------------
@@ -764,11 +858,11 @@ TEST_F(HealthTest, CApiHealthReportReflectsRegistry) {
     EXPECT_EQ(report.components[c].cooldown_remaining_ms, 0u);
   }
 
-  health::report_degraded(Component::kPlanCache, Cause::kOverload);
+  health::report_degraded(Component::kTunedTable, Cause::kOverload);
   ASSERT_EQ(shalom_health_report(&report), SHALOM_OK);
   EXPECT_EQ(report.all_healthy, 0);
   const shalom_health_component& pc =
-      report.components[SHALOM_HEALTH_PLAN_CACHE];
+      report.components[SHALOM_HEALTH_TUNED_TABLE];
   EXPECT_EQ(pc.state, SHALOM_HEALTH_DEGRADED);
   EXPECT_EQ(pc.cause, SHALOM_HEALTH_CAUSE_OVERLOAD);
   if (health::recovery_enabled()) {
@@ -779,7 +873,7 @@ TEST_F(HealthTest, CApiHealthReportReflectsRegistry) {
     EXPECT_GT(pc.cooldown_remaining_ms, 0u);
   }
 
-  health::report_recovered(Component::kPlanCache);
+  health::report_recovered(Component::kTunedTable);
   ASSERT_EQ(shalom_health_report(&report), SHALOM_OK);
   EXPECT_EQ(report.all_healthy, 1);
 }

@@ -1,16 +1,16 @@
 // Execution-plan layer tests: plan_create/plan_execute must be bitwise
 // identical to the per-call drivers for every mode and shape class, plans
-// must be reusable and validate execute-time arguments, and the global
-// LRU plan cache must hit, evict and stay bounded as specified. Also
-// covers seeding the cache from auto-tuner results.
+// must be reusable and validate execute-time arguments, every call must
+// plan from its own Config, and a published tuned blocking must reach
+// both gemm and caller-held plans of its exact shape.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "common/error.h"
 #include "core/plan.h"
-#include "core/plan_cache.h"
 #include "core/shalom.h"
 #include "tests/test_util.h"
-#include "tuning/autotune.h"
 
 namespace shalom {
 namespace {
@@ -40,8 +40,8 @@ void expect_bitwise_equal(const Matrix<T>& got, const Matrix<T>& want,
   }
 }
 
-// Runs one shape through the direct (per-call, cache-off) driver and
-// through plan_create/plan_execute and demands bitwise-identical C.
+// Runs one shape through the direct (per-call) driver and through a
+// caller-held plan_create/plan_execute and demands bitwise-identical C.
 template <typename T>
 void check_plan_equivalence(Mode mode, const ShapeCase& s, int threads) {
   testing::Problem<T> direct(mode, s.m, s.n, s.k);
@@ -50,7 +50,6 @@ void check_plan_equivalence(Mode mode, const ShapeCase& s, int threads) {
 
   Config cfg;
   cfg.threads = threads;
-  cfg.use_plan_cache = false;
   gemm(mode.a, mode.b, s.m, s.n, s.k, alpha, direct.a.data(),
        direct.a.ld(), direct.b.data(), direct.b.ld(), beta, direct.c.data(),
        direct.c.ld(), cfg);
@@ -135,98 +134,98 @@ TEST(GemmPlan, DegenerateShapesScaleC) {
   expect_bitwise_equal(c, expected, 3, 3, "k=0 scale");
 }
 
-TEST(PlanCache, HitsMissesAndLruBound) {
-  auto& cache = PlanCache<float>::global();
-  cache.clear();
-  cache.set_capacity(4);
+TEST(GemmPlan, DistinctConfigsGetDistinctPlans) {
+  // Every call plans from its own Config: a feature flag or a blocking
+  // override changes the plan's decisions.
+  const Mode mode{Trans::N, Trans::N};
+  Config no_select;
+  no_select.selective_packing = false;
+  const GemmPlan<float> plain = plan_create<float>(mode, 16, 16, 16);
+  const GemmPlan<float> packed =
+      plan_create<float>(mode, 16, 16, 16, no_select);
+  EXPECT_TRUE(plain.small_fast_path);
+  EXPECT_FALSE(packed.small_fast_path);
+  EXPECT_TRUE(packed.a_packed && packed.b_packed);
 
-  Config cfg;  // use_plan_cache on by default
-  auto call = [&](index_t m) {
-    testing::Problem<float> p({Trans::N, Trans::N}, m, m, m);
-    gemm(Trans::N, Trans::N, m, m, m, 1.0f, p.a.data(), p.a.ld(),
-         p.b.data(), p.b.ld(), 0.0f, p.c.data(), p.c.ld(), cfg);
-    p.run_reference(1.0f, 0.0f);
-    p.expect_matches("cached call");
-  };
-
-  call(8);
-  call(8);
-  PlanCacheStats st = cache.stats();
-  EXPECT_EQ(st.misses, 1u);
-  EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.size, 1u);
-
-  // Six distinct shapes through a capacity-4 cache: size stays bounded
-  // and the overflow shows up as evictions.
-  for (index_t m : {5, 6, 7, 9, 10, 11}) call(m);
-  st = cache.stats();
-  EXPECT_LE(st.size, 4u);
-  EXPECT_GE(st.evictions, 3u);
-
-  // The most recently used shape must still be resident (LRU order).
-  const PlanKey key = make_plan_key(
-      {Trans::N, Trans::N}, 11, 11, 11,
-      LdClass::kContiguous, 1, cfg);
-  EXPECT_NE(cache.lookup(key), nullptr);
-
-  cache.set_capacity(PlanCache<float>::kDefaultCapacity);
-  cache.clear();
+  const Mode tn{Trans::T, Trans::N};  // never the small fast path
+  Config kc8;
+  kc8.kc_override = 8;
+  EXPECT_EQ(plan_create<float>(tn, 48, 96, 120, kc8).blk.kc, 8);
+  EXPECT_NE(plan_create<float>(tn, 48, 96, 120).blk.kc, 8);
 }
 
-TEST(PlanCache, DistinctConfigsGetDistinctPlans) {
-  Config a;  // defaults
-  Config b;
-  b.selective_packing = false;
-  const PlanKey ka =
-      make_plan_key({Trans::N, Trans::N}, 16, 16, 16, LdClass::kContiguous,
-                    1, a);
-  const PlanKey kb =
-      make_plan_key({Trans::N, Trans::N}, 16, 16, 16, LdClass::kContiguous,
-                    1, b);
-  EXPECT_FALSE(ka == kb);
+/// Restores the analytic blocking even when an assertion bails out.
+struct TunedSnapshotGuard {
+  TunedSnapshotGuard() { reset_tuned(); }
+  ~TunedSnapshotGuard() { reset_tuned(); }
+};
 
-  // Leading-dimension classes split the key too.
-  EXPECT_EQ(classify_ld({Trans::N, Trans::N}, 4, 4, 4, 4, 4, 4),
-            LdClass::kContiguous);
-  EXPECT_EQ(classify_ld({Trans::N, Trans::N}, 4, 4, 4, 4, 4, 9),
-            LdClass::kPadded);
-  EXPECT_EQ(classify_ld({Trans::T, Trans::N}, 4, 4, 6, 4, 4, 4),
-            LdClass::kContiguous);  // lda covers M under Trans::T
-}
-
-TEST(PlanCache, SeededTunedPlanIsPickedUp) {
-  auto& cache = PlanCache<float>::global();
-  cache.clear();
-
+TEST(GemmPlan, PublishedTunedBlockingIsPickedUp) {
+  TunedSnapshotGuard guard;
   const Mode mode{Trans::T, Trans::N};
   const index_t m = 48, n = 96, k = 120;
 
-  // Fabricate a tuner result (running the real timer here would be slow
+  // A fabricated tuner result (running the real timer here would be slow
   // and flaky); what matters is the override plumbing.
-  tuning::TuneResult tuned;
-  tuned.config = Config{};
-  tuned.config.kc_override = 24;
-  tuned.config.mc_override = 28;
-  tuned.config.nc_override = 48;
-  tuning::seed_plan_cache<float>(mode, m, n, k, tuned);
+  Config overrides;
+  overrides.kc_override = 24;
+  overrides.mc_override = 28;
+  overrides.nc_override = 48;
+  Config no_fuse;
+  no_fuse.fused_packing = false;
+  Config two;
+  two.threads = 2;
+  const model::Blocking analytic = plan_create<float>(mode, m, n, k).blk;
+  const model::Blocking tuned =
+      plan_create<float>(mode, m, n, k, overrides).blk;
+  ASSERT_NE(analytic.kc, tuned.kc);
+  // What the non-matching calls below must keep planning.
+  const index_t kc_double = plan_create<double>(mode, m, n, k).blk.kc;
+  const index_t kc_other_k = plan_create<float>(mode, m, n, k + 1).blk.kc;
+  const index_t kc_no_fuse = plan_create<float>(mode, m, n, k, no_fuse).blk.kc;
+  const GemmPlan<float> split = plan_create<float>(mode, m, n, k, two);
 
-  PlanCacheStats before = cache.stats();
-  // One entry per ld class; both share one underlying plan object.
-  EXPECT_EQ(before.size, 2u);
+  TunedBlocking rec;
+  rec.dtype = 's';
+  rec.trans_a = true;
+  rec.m = m;
+  rec.n = n;
+  rec.k = k;
+  rec.kc = overrides.kc_override;
+  rec.mc = overrides.mc_override;
+  rec.nc = overrides.nc_override;
+  publish_tuned({rec});
 
-  // A plain default-config call must now hit the seeded entry...
-  testing::Problem<float> p(mode, m, n, k);
-  gemm(mode.a, mode.b, m, n, k, 1.0f, p.a.data(), p.a.ld(), p.b.data(),
-       p.b.ld(), 0.0f, p.c.data(), p.c.ld());
-  PlanCacheStats after = cache.stats();
-  EXPECT_EQ(after.hits, before.hits + 1);
-  EXPECT_EQ(after.misses, before.misses);
+  // A plain default-config plan now carries the tuned blocking...
+  const GemmPlan<float> plan = plan_create<float>(mode, m, n, k);
+  EXPECT_EQ(plan.blk.kc, tuned.kc);
+  EXPECT_EQ(plan.blk.mc, tuned.mc);
+  EXPECT_EQ(plan.blk.nc, tuned.nc);
 
-  // ...and the tuned blocking must still compute the right answer.
-  p.run_reference(1.0f, 0.0f);
-  p.expect_matches("seeded tuned plan");
+  // ...and gemm of the same shape runs it: bitwise equal to the
+  // caller-held plan, and still the right answer.
+  testing::Problem<float> direct(mode, m, n, k);
+  testing::Problem<float> held(mode, m, n, k);
+  gemm(mode.a, mode.b, m, n, k, 1.0f, direct.a.data(), direct.a.ld(),
+       direct.b.data(), direct.b.ld(), 0.0f, direct.c.data(),
+       direct.c.ld());
+  plan_execute(plan, 1.0f, held.a.data(), held.a.ld(), held.b.data(),
+               held.b.ld(), 0.0f, held.c.data(), held.c.ld());
+  expect_bitwise_equal(held.c, direct.c, m, n, "tuned plan vs gemm");
+  direct.run_reference(1.0f, 0.0f);
+  direct.expect_matches("tuned blocking");
 
-  cache.clear();
+  // Only the exact dtype, shape, thread count and a plain Config match.
+  EXPECT_EQ(plan_create<double>(mode, m, n, k).blk.kc, kc_double);
+  EXPECT_EQ(plan_create<float>(mode, m, n, k + 1).blk.kc, kc_other_k);
+  EXPECT_EQ(plan_create<float>(mode, m, n, k, no_fuse).blk.kc, kc_no_fuse);
+  const GemmPlan<float> split_after = plan_create<float>(mode, m, n, k, two);
+  ASSERT_EQ(split_after.sub.size(), split.sub.size());
+  for (std::size_t i = 0; i < split.sub.size(); ++i)
+    EXPECT_EQ(split_after.sub[i].blk.kc, split.sub[i].blk.kc);
+
+  reset_tuned();
+  EXPECT_EQ(plan_create<float>(mode, m, n, k).blk.kc, analytic.kc);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 // SHALOM_CHECK_NUMERICS by tests/CMakeLists.txt; run bare they skip).
 //
 // Each TEST runs in its own process under ctest (gtest_discover_tests), so
-// quarantine verdicts and plan-cache state never leak between tests.
+// quarantine verdicts never leak between tests.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -29,12 +29,9 @@
 namespace shalom {
 namespace {
 
-/// Resets quarantine verdicts AND the plan caches that snapshot them.
-void reset_selfcheck_world() {
-  selfcheck::reset_for_testing();
-  PlanCache<float>::global().clear();
-  PlanCache<double>::global().clear();
-}
+/// Resets quarantine verdicts (every call plans afresh, so no plan
+/// outlives them).
+void reset_selfcheck_world() { selfcheck::reset_for_testing(); }
 
 template <typename T>
 void expect_bitwise(const Matrix<T>& got, const Matrix<T>& want,
@@ -224,9 +221,9 @@ TEST_F(QuarantineTest, WideGemmFallsBackToScalar) {
 }
 
 TEST_F(QuarantineTest, PlansBuiltAfterQuarantineStayCorrect) {
-  // Quarantine first, then exercise the cached-plan path repeatedly: the
-  // plan snapshots force_scalar_kernels and every execution must agree
-  // with naive.
+  // Quarantine first, then plan the same shape repeatedly: every plan
+  // snapshots force_scalar_kernels and every execution must agree with
+  // naive.
   const index_t M = 48, N = 56, K = 20;
   fault::arm(fault::Site::kSelfcheckProbe, fault::Mode::kEveryN, 1);
   EXPECT_GT(shalom_selftest(), 0);
@@ -242,7 +239,7 @@ TEST_F(QuarantineTest, PlansBuiltAfterQuarantineStayCorrect) {
     baselines::naive_gemm({Trans::N, Trans::T}, M, N, K, 1.0f, p.a.data(),
                           p.a.ld(), p.b.data(), p.b.ld(), 0.75f,
                           p.c_ref.data(), p.c_ref.ld());
-    expect_bitwise(p.c, p.c_ref, "cached quarantined plan");
+    expect_bitwise(p.c, p.c_ref, "quarantined plan");
   }
 }
 

@@ -1,10 +1,10 @@
 // Persistent tuned-table battery (tuning/table.h): corruption fuzzing
 // (truncation at every record boundary and at random offsets, single-bit
 // flips, version and fingerprint skew, zero-length and missing files),
-// atomic-commit-under-fault byte-identity, the background re-tuner
-// lifecycle, and the C ABI mirrors. Every corruption outcome must be a
-// clean cold start with the right telemetry counter - never a crash and
-// never an invalid record seeded into the plan cache.
+// atomic-commit-under-fault byte-identity, loaded records reaching the
+// first plan of their shape, and the C ABI mirrors. Every corruption
+// outcome must be a clean cold start with the right telemetry counter -
+// never a crash and never an invalid record published to the planner.
 //
 // Two fixtures: TableTest disarms all fault sites for deterministic
 // expectations; TableChaos leaves ambient SHALOM_FAULT arming (the tier-1
@@ -12,19 +12,17 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/fault.h"
 #include "common/rng.h"
 #include "core/kernel_contracts.h"
-#include "core/plan_cache.h"
+#include "core/plan.h"
 #include "core/shalom.h"
 #include "core/shalom_c.h"
 #include "tests/test_util.h"
@@ -115,16 +113,14 @@ std::string test_path(const char* suffix) {
          info->name() + "_" + suffix + ".tbl";
 }
 
-/// Deterministic fixture: all fault sites disarmed, all table and plan
-/// state reset, per-test scratch path cleaned on both sides.
+/// Deterministic fixture: all fault sites disarmed, the table and its
+/// published overrides reset, per-test scratch path cleaned on both sides.
 class TableTest : public ::testing::Test {
  protected:
   void SetUp() override {
     fault::disarm_all();
     tuning::table_clear();
     robustness_stats_reset();
-    PlanCache<float>::global().clear();
-    PlanCache<double>::global().clear();
     path_ = test_path("t");
     std::remove(path_.c_str());
     std::remove((path_ + ".tmp").c_str());
@@ -200,21 +196,72 @@ TEST_F(TableTest, RejectedRegistrationCountsTelemetry) {
 // Round trip and determinism
 // ---------------------------------------------------------------------------
 
-TEST_F(TableTest, RoundTripSeedsPlanCacheAndCounts) {
+TEST_F(TableTest, RoundTripPublishesOverridesAndCounts) {
+  // One record on a blocked (not small-fast-path) shape, so its kc/mc/nc
+  // are visible in the plan, plus three from save_table.
+  const Mode mode{Trans::T, Trans::N};
+  TunedRecord tn = make_record('s', 48, 96, 120);
+  tn.trans_a = true;
+  tn.kc = 24;
+  tn.mc = 28;
+  tn.nc = 48;
+  ASSERT_TRUE(tuning::table_record(tn));
+  Config overrides;
+  overrides.kc_override = tn.kc;
+  overrides.mc_override = tn.mc;
+  overrides.nc_override = tn.nc;
+  Config no_edges;
+  no_edges.optimized_edges = false;
+  const model::Blocking analytic =
+      plan_create<float>(mode, tn.m, tn.n, tn.k).blk;
+  const model::Blocking tuned =
+      plan_create<float>(mode, tn.m, tn.n, tn.k, overrides).blk;
+  const model::Blocking analytic_no_edges =
+      plan_create<float>(mode, tn.m, tn.n, tn.k, no_edges).blk;
+  ASSERT_NE(analytic.kc, tuned.kc);
+
   const std::vector<unsigned char> bytes = save_table(3);
-  EXPECT_EQ(bytes.size(), kTableHeaderBytes + 3 * kTableRecordBytes);
+  EXPECT_EQ(bytes.size(), kTableHeaderBytes + 4 * kTableRecordBytes);
   EXPECT_EQ(tuning::table_size(), 0u);  // save_table cleared the registry
 
   const std::uint64_t loaded_before = tuning::table_stats().records_loaded;
   ASSERT_EQ(tuning::table_load(path_.c_str()), SHALOM_OK);
-  EXPECT_EQ(tuning::table_size(), 3u);
-  EXPECT_EQ(tuning::table_stats().records_loaded, loaded_before + 3);
+  EXPECT_EQ(tuning::table_size(), 4u);
+  EXPECT_EQ(tuning::table_stats().records_loaded, loaded_before + 4);
   EXPECT_EQ(robustness_stats().table_records_rejected, 0u);
   EXPECT_EQ(robustness_stats().table_load_failures, 0u);
-  // Loading pre-seeds the plan cache: the float records (m = 8, 24) and
-  // the double record (m = 16) each installed plans.
-  EXPECT_GT(PlanCache<float>::global().stats().size, 0u);
-  EXPECT_GT(PlanCache<double>::global().stats().size, 0u);
+
+  // The loaded record reaches the first plain-config plan of its shape.
+  const GemmPlan<float> plan = plan_create<float>(mode, tn.m, tn.n, tn.k);
+  EXPECT_EQ(plan.blk.kc, tuned.kc);
+  EXPECT_EQ(plan.blk.mc, tuned.mc);
+  EXPECT_EQ(plan.blk.nc, tuned.nc);
+
+  // gemm of that shape runs the same plan: bitwise equal to plan_execute.
+  testing::Problem<float> direct(mode, tn.m, tn.n, tn.k);
+  testing::Problem<float> held(mode, tn.m, tn.n, tn.k);
+  gemm(mode.a, mode.b, tn.m, tn.n, tn.k, 1.0f, direct.a.data(),
+       direct.a.ld(), direct.b.data(), direct.b.ld(), 0.0f, direct.c.data(),
+       direct.c.ld());
+  plan_execute(plan, 1.0f, held.a.data(), held.a.ld(), held.b.data(),
+               held.b.ld(), 0.0f, held.c.data(), held.c.ld());
+  for (index_t i = 0; i < tn.m; ++i)
+    for (index_t j = 0; j < tn.n; ++j)
+      ASSERT_EQ(held.c(i, j), direct.c(i, j)) << "at (" << i << "," << j
+                                               << ")";
+  direct.run_reference(1.0f, 0.0f);
+  direct.expect_matches("loaded tuned blocking");
+
+  // A config with a non-default flag ignores the record.
+  EXPECT_EQ(plan_create<float>(mode, tn.m, tn.n, tn.k, no_edges).blk.kc,
+            analytic_no_edges.kc);
+
+  // Clearing the table brings the analytic blocking back.
+  tuning::table_clear();
+  const model::Blocking after = plan_create<float>(mode, tn.m, tn.n, tn.k).blk;
+  EXPECT_EQ(after.kc, analytic.kc);
+  EXPECT_EQ(after.mc, analytic.mc);
+  EXPECT_EQ(after.nc, analytic.nc);
 }
 
 TEST_F(TableTest, EqualContentsSaveByteIdentically) {
@@ -432,58 +479,6 @@ TEST_F(TableTest, LoadFaultDegradesToColdStart) {
 }
 
 // ---------------------------------------------------------------------------
-// Background re-tuner lifecycle
-// ---------------------------------------------------------------------------
-
-TEST_F(TableTest, RetunerPromotesHotShapesAndSavesOnStop) {
-  tuning::RetunerOptions opt;
-  opt.period_ms = 2;
-  opt.top_k = 4;
-  opt.max_tunes_per_cycle = 2;
-  opt.tune.reps = 1;
-  opt.tune.scales = {1.0};
-  opt.save_path = path_;
-
-  // Make two small shapes hot in the float cache.
-  for (index_t m : {index_t{8}, index_t{12}}) {
-    testing::Problem<float> p({Trans::N, Trans::N}, m, 8, 8);
-    gemm_cached<float>(p.mode, p.m, p.n, p.k, 1.0f, p.a.data(), p.a.ld(),
-                       p.b.data(), p.b.ld(), 0.0f, p.c.data(), p.c.ld());
-  }
-  ASSERT_GT(PlanCache<float>::global().stats().size, 0u);
-
-  tuning::Retuner r(opt);
-  EXPECT_FALSE(r.running());
-  ASSERT_TRUE(r.start());
-  EXPECT_TRUE(r.running());
-  EXPECT_FALSE(r.start());  // double start refused
-  r.kick();
-  for (int i = 0; i < 2000 && r.promoted() == 0; ++i)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_GT(r.promoted(), 0u);
-  EXPECT_GT(tuning::table_size(), 0u);
-
-  EXPECT_EQ(r.stop(), SHALOM_OK);  // drains, joins, saves to save_path
-  EXPECT_FALSE(r.running());
-  EXPECT_EQ(r.stop(), SHALOM_OK);  // idempotent, no second save
-  ASSERT_TRUE(file_exists(path_));
-
-  tuning::table_clear();
-  EXPECT_EQ(tuning::table_load(path_.c_str()), SHALOM_OK);
-  EXPECT_GT(tuning::table_size(), 0u);
-}
-
-TEST_F(TableTest, RetunerStopWithoutStartIsCleanNoop) {
-  tuning::RetunerOptions opt;
-  opt.save_path = path_;
-  tuning::Retuner r(opt);
-  r.kick();  // no-op while idle
-  EXPECT_EQ(r.stop(), SHALOM_OK);
-  EXPECT_FALSE(file_exists(path_));  // never ran => nothing saved
-  EXPECT_EQ(r.cycles(), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // C ABI mirrors
 // ---------------------------------------------------------------------------
 
@@ -514,39 +509,15 @@ TEST_F(TableTest, CapiLoadSaveStatsMirrorCxx) {
   EXPECT_EQ(g_stats.table_records_rejected, cxx.records_rejected);
 }
 
-TEST_F(TableTest, CapiHotShapeSnapshotSeesWarmCache) {
-  EXPECT_EQ(shalom_plan_cache_hot(nullptr, 4), -SHALOM_ERR_NULL_POINTER);
-  shalom_hot_shape shapes[8];
-  EXPECT_EQ(shalom_plan_cache_hot(shapes, 0), 0);
-  EXPECT_EQ(shalom_plan_cache_hot(shapes, 8), 0);  // cold cache
-
-  testing::Problem<float> p({Trans::N, Trans::N}, 8, 8, 8);
-  gemm_cached<float>(p.mode, p.m, p.n, p.k, 1.0f, p.a.data(), p.a.ld(),
-                     p.b.data(), p.b.ld(), 0.0f, p.c.data(), p.c.ld());
-  const int n = shalom_plan_cache_hot(shapes, 8);
-  ASSERT_GT(n, 0);
-  bool found = false;
-  for (int i = 0; i < n; ++i) {
-    EXPECT_TRUE(shapes[i].dtype == 's' || shapes[i].dtype == 'd');
-    EXPECT_TRUE(shapes[i].trans_a == 'N' || shapes[i].trans_a == 'T');
-    if (shapes[i].dtype == 's' && shapes[i].m == 8 && shapes[i].n == 8 &&
-        shapes[i].k == 8)
-      found = true;
-  }
-  EXPECT_TRUE(found);
-}
-
 // ---------------------------------------------------------------------------
 // Ambient chaos: with SHALOM_FAULT arming table.* sites (the tier-1
 // persistence-chaos stage), every save either commits fully or leaves the
-// last good table byte-identical, and every load either seeds validly or
-// degrades cold. Invariants only - no deterministic counter expectations.
+// last good table byte-identical, and every load either publishes validly
+// or degrades cold. Invariants only - no deterministic counter expectations.
 // ---------------------------------------------------------------------------
 
 TEST(TableChaos, CommitsAreAllOrNothingUnderAmbientFaults) {
   tuning::table_clear();
-  PlanCache<float>::global().clear();
-  PlanCache<double>::global().clear();
   const std::string path = test_path("chaos");
   std::remove(path.c_str());
   std::remove((path + ".tmp").c_str());
@@ -608,8 +579,8 @@ TEST(TableEnv, MissingPreseedFileDegradesColdly) {
   EXPECT_EQ(tuning::table_size(), 0u);
   testing::Problem<float> p({Trans::N, Trans::N}, 8, 8, 8);
   p.run_reference(1.0f, 0.0f);
-  gemm_cached<float>(p.mode, p.m, p.n, p.k, 1.0f, p.a.data(), p.a.ld(),
-                     p.b.data(), p.b.ld(), 0.0f, p.c.data(), p.c.ld());
+  gemm(p.mode.a, p.mode.b, p.m, p.n, p.k, 1.0f, p.a.data(), p.a.ld(),
+       p.b.data(), p.b.ld(), 0.0f, p.c.data(), p.c.ld());
   p.expect_matches("env preseed degradation");
 }
 
