@@ -18,11 +18,14 @@
 #include "common/selfcheck.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -572,102 +575,35 @@ std::atomic<int> g_state[kVariantCount];
 // the variant is observably quarantined.
 std::atomic<int> g_cause[kVariantCount];
 
-using ukr::AAccess;
-using ukr::BAccess;
+/// The probe of list row I, chosen by the row's columns.
+template <int I>
+bool probe_row() {
+  constexpr VariantRow r = kVariants[I];
+  using T = std::conditional_t<r.dtype == Dtype::kF64, double, float>;
+  if constexpr (r.kind == Kind::kMain || r.kind == Kind::kEdge)
+    return probe_main_family<T, static_cast<ukr::AAccess>(r.a),
+                             static_cast<ukr::BAccess>(r.b)>(
+        r.kind == Kind::kEdge);
+  else if constexpr (r.kind == Kind::kFusedNn)
+    return probe_fused_nn<T>();
+  else if constexpr (r.kind == Kind::kFusedNt)
+    return probe_fused_nt<T>();
+  else if constexpr (r.kind == Kind::kFusedTn)
+    return probe_fused_tn<T>();
+  else
+    return probe_wide<r.width>();
+}
+
+constexpr auto kProbes = []<int... I>(std::integer_sequence<int, I...>) {
+  return std::array<bool (*)(), sizeof...(I)>{&probe_row<I>...};
+}(std::make_integer_sequence<int, kVariantCount>{});
 
 /// The actual probe computation for a variant: any exception escaping a
 /// probe (it should not happen - probes only touch local vectors) is a
 /// failed probe, never a crash in dispatch.
 bool probe_body(Variant v) noexcept {
   try {
-    switch (v) {
-      case Variant::kMainF32DirectDirect:
-        return probe_main_family<float, AAccess::kDirect, BAccess::kDirect>(
-            false);
-      case Variant::kMainF32DirectPacked:
-        return probe_main_family<float, AAccess::kDirect, BAccess::kPacked>(
-            false);
-      case Variant::kMainF32PackedDirect:
-        return probe_main_family<float, AAccess::kPacked, BAccess::kDirect>(
-            false);
-      case Variant::kMainF32PackedPacked:
-        return probe_main_family<float, AAccess::kPacked, BAccess::kPacked>(
-            false);
-      case Variant::kMainF32TransDirect:
-        return probe_main_family<float, AAccess::kDirectTrans,
-                                 BAccess::kDirect>(false) &&
-               probe_main_family<float, AAccess::kDirectTrans,
-                                 BAccess::kPacked>(false);
-      case Variant::kMainF64DirectDirect:
-        return probe_main_family<double, AAccess::kDirect, BAccess::kDirect>(
-            false);
-      case Variant::kMainF64DirectPacked:
-        return probe_main_family<double, AAccess::kDirect, BAccess::kPacked>(
-            false);
-      case Variant::kMainF64PackedDirect:
-        return probe_main_family<double, AAccess::kPacked, BAccess::kDirect>(
-            false);
-      case Variant::kMainF64PackedPacked:
-        return probe_main_family<double, AAccess::kPacked, BAccess::kPacked>(
-            false);
-      case Variant::kMainF64TransDirect:
-        return probe_main_family<double, AAccess::kDirectTrans,
-                                 BAccess::kDirect>(false) &&
-               probe_main_family<double, AAccess::kDirectTrans,
-                                 BAccess::kPacked>(false);
-      case Variant::kEdgeF32DirectDirect:
-        return probe_main_family<float, AAccess::kDirect, BAccess::kDirect>(
-            true);
-      case Variant::kEdgeF32DirectPacked:
-        return probe_main_family<float, AAccess::kDirect, BAccess::kPacked>(
-            true);
-      case Variant::kEdgeF32PackedDirect:
-        return probe_main_family<float, AAccess::kPacked, BAccess::kDirect>(
-            true);
-      case Variant::kEdgeF32PackedPacked:
-        return probe_main_family<float, AAccess::kPacked, BAccess::kPacked>(
-            true);
-      case Variant::kEdgeF32TransDirect:
-        return probe_main_family<float, AAccess::kDirectTrans,
-                                 BAccess::kDirect>(true) &&
-               probe_main_family<float, AAccess::kDirectTrans,
-                                 BAccess::kPacked>(true);
-      case Variant::kEdgeF64DirectDirect:
-        return probe_main_family<double, AAccess::kDirect, BAccess::kDirect>(
-            true);
-      case Variant::kEdgeF64DirectPacked:
-        return probe_main_family<double, AAccess::kDirect, BAccess::kPacked>(
-            true);
-      case Variant::kEdgeF64PackedDirect:
-        return probe_main_family<double, AAccess::kPacked, BAccess::kDirect>(
-            true);
-      case Variant::kEdgeF64PackedPacked:
-        return probe_main_family<double, AAccess::kPacked, BAccess::kPacked>(
-            true);
-      case Variant::kEdgeF64TransDirect:
-        return probe_main_family<double, AAccess::kDirectTrans,
-                                 BAccess::kDirect>(true) &&
-               probe_main_family<double, AAccess::kDirectTrans,
-                                 BAccess::kPacked>(true);
-      case Variant::kFusedNnF32:
-        return probe_fused_nn<float>();
-      case Variant::kFusedNnF64:
-        return probe_fused_nn<double>();
-      case Variant::kFusedNtF32:
-        return probe_fused_nt<float>();
-      case Variant::kFusedNtF64:
-        return probe_fused_nt<double>();
-      case Variant::kFusedTnF32:
-        return probe_fused_tn<float>();
-      case Variant::kFusedTnF64:
-        return probe_fused_tn<double>();
-      case Variant::kWide128:
-        return probe_wide<128>();
-      case Variant::kWide256:
-        return probe_wide<256>();
-      case Variant::kWide512:
-        return probe_wide<512>();
-    }
+    return kProbes[static_cast<std::size_t>(v)]();
   } catch (...) {
   }
   return false;
@@ -764,25 +700,8 @@ int probe_and_publish(Variant v) noexcept {
 }  // namespace
 
 const char* variant_name(Variant v) noexcept {
-  static constexpr const char* kNames[kVariantCount] = {
-      "main.f32.direct-direct", "main.f32.direct-packed",
-      "main.f32.packed-direct", "main.f32.packed-packed",
-      "main.f32.trans-direct",  "main.f64.direct-direct",
-      "main.f64.direct-packed", "main.f64.packed-direct",
-      "main.f64.packed-packed", "main.f64.trans-direct",
-      "edge.f32.direct-direct", "edge.f32.direct-packed",
-      "edge.f32.packed-direct", "edge.f32.packed-packed",
-      "edge.f32.trans-direct",  "edge.f64.direct-direct",
-      "edge.f64.direct-packed", "edge.f64.packed-direct",
-      "edge.f64.packed-packed", "edge.f64.trans-direct",
-      "fused-nn.f32",           "fused-nn.f64",
-      "fused-nt.f32",           "fused-nt.f64",
-      "fused-tn.f32",           "fused-tn.f64",
-      "wide.128",               "wide.256",
-      "wide.512",
-  };
   const int i = static_cast<int>(v);
-  return (i >= 0 && i < kVariantCount) ? kNames[i] : "unknown";
+  return (i >= 0 && i < kVariantCount) ? kVariants[i].name : "unknown";
 }
 
 Status status(Variant v) noexcept {

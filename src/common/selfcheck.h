@@ -10,6 +10,11 @@
 // probe is *quarantined* - dispatch and plan building permanently route
 // around it to the next-best verified kernel (ultimately scalar).
 //
+// The variant set is one list (SHALOM_SELFCHECK_VARIANTS below): each row
+// names a family's id, kind, element type, vector width and operand
+// accesses, and the enum, the names, the probe dispatch and the dispatch
+// layer's (kind, type, access) -> id lookups are generated from it.
+//
 // Probing is lazy by default (first dispatch of a variant pays one probe,
 // cached in a per-variant atomic tri-state) or eager via run_all() /
 // shalom_selftest() / SHALOM_SELFTEST=1. Probes are observable through
@@ -30,51 +35,114 @@ namespace shalom {
 
 namespace selfcheck {
 
-/// Every probe-able kernel family. One entry is one quarantine unit: a
-/// probe failure disables the whole family (e.g. all FP32 packed-packed
-/// edge instantiations), which is the granularity dispatch can route
-/// around. Order is load-bearing: edge variant = main variant +
-/// kMainFamilyCount, and the g_state table in selfcheck.cpp is indexed by
-/// the enum value. Append only.
+/// What a variant's kernels compute: the kern_main full tile or its
+/// remainder-tile (edge) instantiations, one of the fused pack-and-compute
+/// kernels (paper Section 5.3), or a wide-vector tile (Section 5.5).
+enum class Kind : int { kMain, kEdge, kFusedNn, kFusedNt, kFusedTn, kWide };
+
+enum class Dtype : int { kF32, kF64 };
+
+/// How a variant reads one operand: in place, from a packed sliver, or in
+/// place transposed. A kAny B column marks a family whose probe covers
+/// every B access (fused-tn).
+enum class Access : int { kDirect, kPacked, kTrans, kAny };
+
+/// The variant list: one row per probe-able kernel family, i.e. one
+/// quarantine unit (a probe failure disables the whole family, e.g. all
+/// FP32 packed-packed edge instantiations - the granularity dispatch can
+/// route around). Columns: enum id, stable name, kind, element type,
+/// vector width in bits, A access, B access. The Variant enum, the names,
+/// the probe dispatch (selfcheck.cpp) and the dispatch layer's id lookups
+/// (core/dispatch.h) are all generated from it.
+#define SHALOM_SELFCHECK_VARIANTS(X)                                        \
+  X(kMainF32DirectDirect, "main.f32.direct-direct", kMain, kF32, 128,     \
+    kDirect, kDirect)                                                       \
+  X(kMainF32DirectPacked, "main.f32.direct-packed", kMain, kF32, 128,     \
+    kDirect, kPacked)                                                       \
+  X(kMainF32PackedDirect, "main.f32.packed-direct", kMain, kF32, 128,     \
+    kPacked, kDirect)                                                       \
+  X(kMainF32PackedPacked, "main.f32.packed-packed", kMain, kF32, 128,     \
+    kPacked, kPacked)                                                       \
+  X(kMainF32TransDirect, "main.f32.trans-direct", kMain, kF32, 128, kTrans, \
+    kDirect)                                                                \
+  X(kMainF64DirectDirect, "main.f64.direct-direct", kMain, kF64, 128,     \
+    kDirect, kDirect)                                                       \
+  X(kMainF64DirectPacked, "main.f64.direct-packed", kMain, kF64, 128,     \
+    kDirect, kPacked)                                                       \
+  X(kMainF64PackedDirect, "main.f64.packed-direct", kMain, kF64, 128,     \
+    kPacked, kDirect)                                                       \
+  X(kMainF64PackedPacked, "main.f64.packed-packed", kMain, kF64, 128,     \
+    kPacked, kPacked)                                                       \
+  X(kMainF64TransDirect, "main.f64.trans-direct", kMain, kF64, 128, kTrans, \
+    kDirect)                                                                \
+  X(kEdgeF32DirectDirect, "edge.f32.direct-direct", kEdge, kF32, 128,     \
+    kDirect, kDirect)                                                       \
+  X(kEdgeF32DirectPacked, "edge.f32.direct-packed", kEdge, kF32, 128,     \
+    kDirect, kPacked)                                                       \
+  X(kEdgeF32PackedDirect, "edge.f32.packed-direct", kEdge, kF32, 128,     \
+    kPacked, kDirect)                                                       \
+  X(kEdgeF32PackedPacked, "edge.f32.packed-packed", kEdge, kF32, 128,     \
+    kPacked, kPacked)                                                       \
+  X(kEdgeF32TransDirect, "edge.f32.trans-direct", kEdge, kF32, 128, kTrans, \
+    kDirect)                                                                \
+  X(kEdgeF64DirectDirect, "edge.f64.direct-direct", kEdge, kF64, 128,     \
+    kDirect, kDirect)                                                       \
+  X(kEdgeF64DirectPacked, "edge.f64.direct-packed", kEdge, kF64, 128,     \
+    kDirect, kPacked)                                                       \
+  X(kEdgeF64PackedDirect, "edge.f64.packed-direct", kEdge, kF64, 128,     \
+    kPacked, kDirect)                                                       \
+  X(kEdgeF64PackedPacked, "edge.f64.packed-packed", kEdge, kF64, 128,     \
+    kPacked, kPacked)                                                       \
+  X(kEdgeF64TransDirect, "edge.f64.trans-direct", kEdge, kF64, 128, kTrans, \
+    kDirect)                                                                \
+  X(kFusedNnF32, "fused-nn.f32", kFusedNn, kF32, 128, kDirect, kDirect)     \
+  X(kFusedNnF64, "fused-nn.f64", kFusedNn, kF64, 128, kDirect, kDirect)     \
+  X(kFusedNtF32, "fused-nt.f32", kFusedNt, kF32, 128, kDirect, kTrans)      \
+  X(kFusedNtF64, "fused-nt.f64", kFusedNt, kF64, 128, kDirect, kTrans)      \
+  X(kFusedTnF32, "fused-tn.f32", kFusedTn, kF32, 128, kTrans, kAny)         \
+  X(kFusedTnF64, "fused-tn.f64", kFusedTn, kF64, 128, kTrans, kAny)         \
+  X(kWide128, "wide.128", kWide, kF32, 128, kPacked, kPacked)               \
+  X(kWide256, "wide.256", kWide, kF32, 256, kPacked, kPacked)               \
+  X(kWide512, "wide.512", kWide, kF32, 512, kPacked, kPacked)
+
+/// Every probe-able kernel family, in list order (the per-variant state
+/// in selfcheck.cpp is indexed by the enum value).
 enum class Variant : int {
-  // Main (mr x nr full-tile) kernels, by (A access, B access).
-  kMainF32DirectDirect = 0,
-  kMainF32DirectPacked = 1,
-  kMainF32PackedDirect = 2,
-  kMainF32PackedPacked = 3,
-  kMainF32TransDirect = 4,  // covers both B accesses of the trans-A path
-  kMainF64DirectDirect = 5,
-  kMainF64DirectPacked = 6,
-  kMainF64PackedDirect = 7,
-  kMainF64PackedPacked = 8,
-  kMainF64TransDirect = 9,
-  // Edge (remainder-tile) instantiations of the same families.
-  kEdgeF32DirectDirect = 10,
-  kEdgeF32DirectPacked = 11,
-  kEdgeF32PackedDirect = 12,
-  kEdgeF32PackedPacked = 13,
-  kEdgeF32TransDirect = 14,
-  kEdgeF64DirectDirect = 15,
-  kEdgeF64DirectPacked = 16,
-  kEdgeF64PackedDirect = 17,
-  kEdgeF64PackedPacked = 18,
-  kEdgeF64TransDirect = 19,
-  // Fused pack-and-compute kernels (paper Section 5.3).
-  kFusedNnF32 = 20,
-  kFusedNnF64 = 21,
-  kFusedNtF32 = 22,
-  kFusedNtF64 = 23,
-  kFusedTnF32 = 24,
-  kFusedTnF64 = 25,
-  // Wide-vector tiles (paper Section 5.5; simd/vecwide.h).
-  kWide128 = 26,
-  kWide256 = 27,
-  kWide512 = 28,
+#define SHALOM_VARIANT_ID(id, name, kind, dtype, width, a, b) id,
+  SHALOM_SELFCHECK_VARIANTS(SHALOM_VARIANT_ID)
+#undef SHALOM_VARIANT_ID
 };
 
-inline constexpr int kVariantCount = 29;
-/// Distance from a main-family variant to its edge-family sibling.
-inline constexpr int kMainFamilyCount = 10;
+/// The columns of one list row; kVariants[v] is the row of Variant v.
+struct VariantRow {
+  const char* name;
+  Kind kind;
+  Dtype dtype;
+  int width;
+  Access a, b;
+};
+
+inline constexpr VariantRow kVariants[] = {
+#define SHALOM_VARIANT_ROW(id, name, kind, dtype, width, a, b) \
+  {name, Kind::kind, Dtype::dtype, width, Access::a, Access::b},
+    SHALOM_SELFCHECK_VARIANTS(SHALOM_VARIANT_ROW)
+#undef SHALOM_VARIANT_ROW
+};
+
+inline constexpr int kVariantCount =
+    static_cast<int>(sizeof kVariants / sizeof kVariants[0]);
+
+/// Index of the row with these columns, or -1 when no row has them.
+constexpr int find_variant(Kind kind, Dtype dtype, int width, Access a,
+                           Access b) {
+  for (int i = 0; i < kVariantCount; ++i) {
+    const VariantRow& r = kVariants[i];
+    if (r.kind == kind && r.dtype == dtype && r.width == width &&
+        r.a == a && (r.b == b || r.b == Access::kAny))
+      return i;
+  }
+  return -1;
+}
 
 /// Per-variant verification state. kUnknown means the variant has never
 /// been probed; the first variant_ok() / run_all() that reaches it decides
@@ -149,11 +217,12 @@ void set_probe_body_for_testing(bool (*fn)(Variant)) noexcept;
 /// (plans snapshot quarantine decisions at build time).
 void reset_for_testing() noexcept;
 
-/// Maps a wide-vector width in bits to its variant id.
+/// Maps a wide-vector width in bits to its variant id (128 for a width
+/// without a row).
 constexpr Variant wide_variant(int bits) {
-  return bits == 512   ? Variant::kWide512
-         : bits == 256 ? Variant::kWide256
-                       : Variant::kWide128;
+  const int v = find_variant(Kind::kWide, Dtype::kF32, bits,
+                             Access::kPacked, Access::kPacked);
+  return v >= 0 ? static_cast<Variant>(v) : Variant::kWide128;
 }
 
 }  // namespace selfcheck

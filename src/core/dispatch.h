@@ -8,6 +8,7 @@
 // function-pointer tables that route a runtime tile to the right one.
 #pragma once
 
+#include <array>
 #include <type_traits>
 
 #include "common/selfcheck.h"
@@ -98,6 +99,15 @@ constexpr bool main_table_covers_edges() {
   });
 }
 
+/// Access pairs with an instantiated kern_main family: direct or packed A
+/// with direct or packed B, plus transposed in-place A with direct B (the
+/// no-pack TN/TT path). Transposed in-place B has no vectorized family; its
+/// tiles run kern_scalar.
+constexpr bool has_main_family(AAccess aa, BAccess ba) {
+  return ba != BAccess::kDirectTrans &&
+         (aa != AAccess::kDirectTrans || ba == BAccess::kDirect);
+}
+
 /// Registration-site checks for every access pair the drivers dispatch
 /// through. A table gap would otherwise only surface as a runtime
 /// SHALOM_ASSERT on the first GEMM that hits the missing remainder.
@@ -111,9 +121,7 @@ constexpr bool main_table_covers_edges() {
           main_table_covers_edges<T, AAccess::kPacked,                    \
                                   BAccess::kPacked>() &&                  \
           main_table_covers_edges<T, AAccess::kDirectTrans,               \
-                                  BAccess::kDirect>() &&                  \
-          main_table_covers_edges<T, AAccess::kDirectTrans,               \
-                                  BAccess::kPacked>(),                    \
+                                  BAccess::kDirect>(),                    \
       "edge-tile coverage violated: every remainder tile (m_eff, n_eff) " \
       "in 1..mr x 1..nr must dispatch to a non-null " #T                  \
       " kernel variant (paper S 5.4)")
@@ -292,52 +300,76 @@ SHALOM_INLINE void run_fused_pack_nt(int jb, index_t kc, const T* a,
 
 // ---------------------------------------------------------------------------
 // Selfcheck variant mapping: which quarantine unit covers each statically
-// instantiated family. Plan building and the degraded executors consult
-// selfcheck::variant_ok() with these ids before routing a tile to a
-// vectorized kernel (common/selfcheck.h).
+// instantiated family, looked up in the selfcheck variant list. Plan
+// building and the executor consult selfcheck::variant_ok() with these ids
+// before routing a tile to a vectorized kernel (common/selfcheck.h).
 // ---------------------------------------------------------------------------
 
-/// Variant id of the full-tile kern_main family for one access pair. The
-/// trans-A probe covers both B accesses under a single id (the load path
-/// difference is B-side only).
 template <typename T>
-constexpr selfcheck::Variant main_variant(AAccess aa, BAccess ba) {
-  constexpr int base = std::is_same_v<T, double> ? 5 : 0;
-  int off;
-  if (aa == AAccess::kDirectTrans)
-    off = 4;
-  else if (aa == AAccess::kDirect)
-    off = (ba == BAccess::kDirect) ? 0 : 1;
-  else
-    off = (ba == BAccess::kDirect) ? 2 : 3;
-  return static_cast<selfcheck::Variant>(base + off);
-}
+inline constexpr selfcheck::Dtype kDtype =
+    std::is_same_v<T, double> ? selfcheck::Dtype::kF64
+                              : selfcheck::Dtype::kF32;
 
-/// Variant id of the remainder-tile (edge) instantiations of the same
-/// family.
+// The selfcheck list spells operand accesses with its own enum (it may
+// not include core/); both kernel access enums share its numbering.
+template <typename E>
+constexpr bool numbered_like_list() {
+  using selfcheck::Access;
+  return static_cast<int>(E::kDirect) == static_cast<int>(Access::kDirect) &&
+         static_cast<int>(E::kPacked) == static_cast<int>(Access::kPacked) &&
+         static_cast<int>(E::kDirectTrans) == static_cast<int>(Access::kTrans);
+}
+static_assert(numbered_like_list<AAccess>() && numbered_like_list<BAccess>());
+
+/// Variant ids of T's 128-bit families by [kind][A access][B access],
+/// resolved from the selfcheck list at compile time (-1: no family).
 template <typename T>
-constexpr selfcheck::Variant edge_variant(AAccess aa, BAccess ba) {
+inline constexpr auto kFamilyVariants = [] {
+  constexpr int kKinds = static_cast<int>(selfcheck::Kind::kWide) + 1;
+  std::array<std::array<std::array<int, 3>, 3>, kKinds> t{};
+  for (int k = 0; k < kKinds; ++k)
+    for (int a = 0; a < 3; ++a)
+      for (int b = 0; b < 3; ++b)
+        t[k][a][b] = selfcheck::find_variant(
+            static_cast<selfcheck::Kind>(k), kDtype<T>, 128,
+            static_cast<selfcheck::Access>(a),
+            static_cast<selfcheck::Access>(b));
+  return t;
+}();
+
+/// Variant id (the quarantine unit) of the `kind` family that reads A and
+/// B with these accesses.
+template <typename T>
+constexpr selfcheck::Variant family_variant(selfcheck::Kind kind, AAccess aa,
+                                            BAccess ba) {
   return static_cast<selfcheck::Variant>(
-      static_cast<int>(main_variant<T>(aa, ba)) +
-      selfcheck::kMainFamilyCount);
+      kFamilyVariants<T>[static_cast<int>(kind)][static_cast<int>(aa)]
+                        [static_cast<int>(ba)]);
 }
 
+/// Every family the executor dispatches has its list row: full and edge
+/// kern_main tiles for each has_main_family pair, and the fused kernels
+/// (NN: A and B in place; NT: B^T in place; TN: A^T in place with B in
+/// place or packed).
 template <typename T>
-constexpr selfcheck::Variant fused_nn_variant() {
-  return std::is_same_v<T, double> ? selfcheck::Variant::kFusedNnF64
-                                   : selfcheck::Variant::kFusedNnF32;
+constexpr bool families_listed() {
+  using K = selfcheck::Kind;
+  const auto has = [](K k, AAccess a, BAccess b) {
+    return static_cast<int>(family_variant<T>(k, a, b)) >= 0;
+  };
+  for (const AAccess a : {AAccess::kDirect, AAccess::kPacked,
+                          AAccess::kDirectTrans})
+    for (const BAccess b : {BAccess::kDirect, BAccess::kPacked,
+                            BAccess::kDirectTrans})
+      if (has_main_family(a, b) &&
+          !(has(K::kMain, a, b) && has(K::kEdge, a, b)))
+        return false;
+  return has(K::kFusedNn, AAccess::kDirect, BAccess::kDirect) &&
+         has(K::kFusedNt, AAccess::kDirect, BAccess::kDirectTrans) &&
+         has(K::kFusedTn, AAccess::kDirectTrans, BAccess::kDirect) &&
+         has(K::kFusedTn, AAccess::kDirectTrans, BAccess::kPacked);
 }
-
-template <typename T>
-constexpr selfcheck::Variant fused_nt_variant() {
-  return std::is_same_v<T, double> ? selfcheck::Variant::kFusedNtF64
-                                   : selfcheck::Variant::kFusedNtF32;
-}
-
-template <typename T>
-constexpr selfcheck::Variant fused_tn_variant() {
-  return std::is_same_v<T, double> ? selfcheck::Variant::kFusedTnF64
-                                   : selfcheck::Variant::kFusedTnF32;
-}
+static_assert(families_listed<float>() && families_listed<double>(),
+              "a dispatched kernel family has no selfcheck variant row");
 
 }  // namespace shalom::ukr

@@ -16,7 +16,8 @@
 //                      kernel that updates C while scattering B^T into Bc.
 //
 // Plus kern_scalar, the deliberately unscheduled fallback used when the
-// Fig. 6b edge optimization is disabled (ablation of Section 8.5).
+// Fig. 6b edge optimization is disabled (ablation of Section 8.5), for
+// quarantined families, and for in-place transposed B.
 //
 // All kernels compute  C = beta * C + alpha * acc  on an (m_eff x n_eff)
 // tile; beta == 0 never reads C (NaN-safe, BLAS semantics).
@@ -48,9 +49,11 @@ enum class AAccess {
 
 /// How the micro-kernel reads matrix B.
 enum class BAccess {
-  kDirect,  ///< b(k,j) = b[k*ldb + j]   (row-major, in place)
-  kPacked,  ///< b(k,j) = b[k*ldb + j]   (row sliver; ldb = nr stride,
-            ///<                          zero-padded past the edge)
+  kDirect,       ///< b(k,j) = b[k*ldb + j]   (row-major, in place)
+  kPacked,       ///< b(k,j) = b[k*ldb + j]   (row sliver; ldb = nr stride,
+                 ///<                          zero-padded past the edge)
+  kDirectTrans,  ///< b(k,j) = b[j*ldb + k]   (transposed storage, in
+                 ///<  place: the no-pack NT/TT path; kern_scalar only)
 };
 
 /// Invokes f(integral_constant<int,0>), ..., f(integral_constant<int,N-1>).
@@ -82,6 +85,8 @@ void kern_main(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
   constexpr int L = V::kLanes;
   constexpr int NV = NRV + (NTail ? 1 : 0);
   static_assert(MR >= 1 && NV >= 1);
+  static_assert(BA != BAccess::kDirectTrans,
+                "in-place transposed B has no vectorized kernel");
   static_assert(contracts::fits_register_budget(MR, NV),
                 "register budget violated: mr + nr/j + mr*nr/j <= 31 "
                 "(paper Eq. 1: MR*NV accumulators + NV B loads + MR A "
@@ -525,9 +530,11 @@ void kern_fused_pack_tn(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
 // Scalar fallback kernel (edge-optimization ablation)
 // ---------------------------------------------------------------------------
 
-/// Plain scalar tile update used when Config::optimized_edges is false:
-/// models the cost existing libraries pay on remainder tiles (batched
-/// loads, no latency hiding - the Fig. 6a behaviour).
+/// Plain scalar tile update. Used when Config::optimized_edges is false
+/// (models the cost existing libraries pay on remainder tiles: batched
+/// loads, no latency hiding - the Fig. 6a behaviour), for quarantined
+/// kernel families, and for in-place transposed B. Each element is the
+/// same k-ordered sum as baselines::naive_gemm.
 template <typename T, AAccess AA, BAccess BA>
 void kern_scalar(index_t m, index_t n, index_t kc, const T* a, index_t lda,
                  const T* b, index_t ldb, T* c, index_t ldc, T alpha,
@@ -538,7 +545,9 @@ void kern_scalar(index_t m, index_t n, index_t kc, const T* a, index_t lda,
       for (index_t k = 0; k < kc; ++k) {
         const T av =
             (AA == AAccess::kDirect) ? a[i * lda + k] : a[k * lda + i];
-        sum += av * b[k * ldb + j];
+        const T bv =
+            (BA == BAccess::kDirectTrans) ? b[j * ldb + k] : b[k * ldb + j];
+        sum += av * bv;
       }
       T* cp = c + i * ldc + j;
       *cp = (beta == T{0}) ? alpha * sum : beta * *cp + alpha * sum;

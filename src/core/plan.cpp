@@ -1,6 +1,7 @@
 #include "core/plan.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <exception>
@@ -11,6 +12,7 @@
 #include <thread>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 
 #include "common/aligned_buffer.h"
 #include "common/error.h"
@@ -96,220 +98,66 @@ int resolve_threads(int threads) {
 
 namespace {
 
-/// Everything the inner tile loop needs about one (ii, kk) block.
-template <typename T>
-struct BlockCtx {
-  // A access: direct (row-major, stride lda) or packed column slivers.
-  bool a_packed = false;
-  const T* a_base = nullptr;  // block corner (direct) or packed buffer
-  index_t a_ld = 0;           // lda (direct) or mr sliver stride (packed)
+using ukr::AAccess;
+using ukr::BAccess;
 
-  // B access for the current sliver.
-  const T* b_src = nullptr;
-  index_t b_ld = 0;  // ldb (direct) or nr (packed)
-  bool b_packed = false;
+/// Which kernel runs each tile: the vectorized kern_main family (full tiles
+/// when `main`, remainder tiles when `edges` too) or kern_scalar.
+struct TileKernels {
+  bool main = true;
+  bool edges = true;
 };
 
-/// Runs the i0 row-tile loop for one B sliver.
-template <typename T>
-void run_row_tiles(const BlockCtx<T>& ctx, const model::Tile& tile,
-                   bool optimized_edges, bool force_scalar, index_t i_start,
-                   index_t mcur, int n_eff, index_t kcur, T* c_col,
-                   index_t ldc, T alpha, T beta_eff) {
-  using ukr::AAccess;
-  using ukr::BAccess;
+/// Runs the i0 row-tile loop of one B sliver. `a` is the block's A corner
+/// (in place) or its packed panel; `b` is the sliver, in place or packed.
+template <typename T, AAccess AA, BAccess BA>
+void row_tiles(const model::Tile& tile, TileKernels kern, index_t i_start,
+               index_t mcur, int n_eff, index_t kcur, const T* a,
+               index_t lda, const T* b, index_t ldb, T* c_col, index_t ldc,
+               T alpha, T beta) {
   for (index_t i0 = i_start; i0 < mcur; i0 += tile.mr) {
     const int m_eff = static_cast<int>(
         std::min<index_t>(tile.mr, mcur - i0));
-    const T* a_tile =
-        ctx.a_packed
-            ? ctx.a_base + (i0 / tile.mr) * pack::a_sliver_elems(kcur, tile.mr)
-            : ctx.a_base + i0 * ctx.a_ld;
-    T* c_tile = c_col + i0 * ldc;
-    const bool edge = m_eff < tile.mr || n_eff < tile.nr;
-
-    if (force_scalar || (edge && !optimized_edges)) {
-      // Ablation: remainder tiles processed by the unscheduled scalar
-      // routine (the cost model of existing libraries' edge handling).
-      if (ctx.a_packed) {
-        ukr::kern_scalar<T, AAccess::kPacked, BAccess::kDirect>(
-            m_eff, n_eff, kcur, a_tile, ctx.a_ld, ctx.b_src, ctx.b_ld,
-            c_tile, ldc, alpha, beta_eff);
-      } else {
-        ukr::kern_scalar<T, AAccess::kDirect, BAccess::kDirect>(
-            m_eff, n_eff, kcur, a_tile, ctx.a_ld, ctx.b_src, ctx.b_ld,
-            c_tile, ldc, alpha, beta_eff);
-      }
-      continue;
-    }
-
-    if (ctx.a_packed) {
-      if (ctx.b_packed) {
-        ukr::run_main_tile<T, AAccess::kPacked, BAccess::kPacked>(
-            m_eff, n_eff, kcur, a_tile, ctx.a_ld, ctx.b_src, ctx.b_ld,
-            c_tile, ldc, alpha, beta_eff);
-      } else {
-        ukr::run_main_tile<T, AAccess::kPacked, BAccess::kDirect>(
-            m_eff, n_eff, kcur, a_tile, ctx.a_ld, ctx.b_src, ctx.b_ld,
-            c_tile, ldc, alpha, beta_eff);
-      }
-    } else {
-      if (ctx.b_packed) {
-        ukr::run_main_tile<T, AAccess::kDirect, BAccess::kPacked>(
-            m_eff, n_eff, kcur, a_tile, ctx.a_ld, ctx.b_src, ctx.b_ld,
-            c_tile, ldc, alpha, beta_eff);
-      } else {
-        ukr::run_main_tile<T, AAccess::kDirect, BAccess::kDirect>(
-            m_eff, n_eff, kcur, a_tile, ctx.a_ld, ctx.b_src, ctx.b_ld,
-            c_tile, ldc, alpha, beta_eff);
+    const T* const a_tile =
+        AA == AAccess::kPacked
+            ? a + (i0 / tile.mr) * pack::a_sliver_elems(kcur, tile.mr)
+        : AA == AAccess::kDirect ? a + i0 * lda
+                                 : a + i0;
+    T* const c_tile = c_col + i0 * ldc;
+    if constexpr (ukr::has_main_family(AA, BA)) {
+      const bool edge = m_eff < tile.mr || n_eff < tile.nr;
+      if (kern.main && (!edge || kern.edges)) {
+        ukr::run_main_tile<T, AA, BA>(m_eff, n_eff, kcur, a_tile, lda, b,
+                                      ldb, c_tile, ldc, alpha, beta);
+        continue;
       }
     }
+    ukr::kern_scalar<T, AA, BA>(m_eff, n_eff, kcur, a_tile, lda, b, ldb,
+                                c_tile, ldc, alpha, beta);
   }
 }
 
-/// Degraded-mode executor: the plan wanted packed operands but the pack
-/// arena could not be reserved, so run the same blocked loop nest reading
-/// A and B in place (the paper's selective-packing "no-pack" path applied
-/// unconditionally). Keeps the plan's exact blocking and tile traversal so
-/// each accumulator sees the identical FMA sequence - for N/T-A with
-/// direct-N B the results are bitwise-identical to the packed execution.
-/// Transposed B has no direct-access kernel (the NT path needs either a
-/// packed sliver or the horizontal-reduction fused kernel, both
-/// arena-backed), so those blocks fall back to the scalar kernel-order
-/// loop: still correct, just slow - this path only runs under memory
-/// pressure.
 template <typename T>
-void execute_serial_nopack(const GemmPlan<T>& plan, T alpha, const T* A,
-                           index_t lda, const T* B, index_t ldb, T beta,
-                           T* C, index_t ldc) {
-  using ukr::AAccess;
-  using ukr::BAccess;
-  const index_t M = plan.m, N = plan.n, K = plan.k;
-  const Mode mode = plan.mode;
-  const model::Blocking& blk = plan.blk;
-  const model::Tile& tile = plan.tile;
+using RowTilesFn = decltype(&row_tiles<T, AAccess::kDirect, BAccess::kDirect>);
 
-  // This degraded path dispatches in-place kernel families the plan's
-  // packed execution never consulted, so re-check quarantine state here
-  // (cold path; one atomic load per family after the first probe).
-  const AAccess aa_np =
-      (mode.a == Trans::N) ? AAccess::kDirect : AAccess::kDirectTrans;
-  const bool main_ok =
-      !plan.force_scalar_kernels &&
-      selfcheck::variant_ok(ukr::main_variant<T>(aa_np, BAccess::kDirect));
-  const bool edges_ok =
-      plan.optimized_edges && main_ok &&
-      selfcheck::variant_ok(ukr::edge_variant<T>(aa_np, BAccess::kDirect));
-
-  for (index_t jj = 0; jj < N; jj += blk.nc) {
-    const index_t ncur = std::min<index_t>(blk.nc, N - jj);
-    for (index_t ii = 0; ii < M; ii += blk.mc) {
-      const index_t mcur = std::min<index_t>(blk.mc, M - ii);
-      for (index_t kk = 0; kk < K; kk += blk.kc) {
-        const index_t kcur = std::min<index_t>(blk.kc, K - kk);
-        const T beta_eff = (kk == 0) ? beta : T{1};
-
-        if (mode.b == Trans::T) {
-          for (index_t i = 0; i < mcur; ++i) {
-            const T* a_row = (mode.a == Trans::N)
-                                 ? A + (ii + i) * lda + kk
-                                 : A + kk * lda + ii + i;
-            const index_t a_step = (mode.a == Trans::N) ? 1 : lda;
-            T* c_row = C + (ii + i) * ldc + jj;
-            for (index_t j = 0; j < ncur; ++j) {
-              const T* b_col = B + (jj + j) * ldb + kk;
-              T sum{};
-              for (index_t k = 0; k < kcur; ++k)
-                sum += a_row[k * a_step] * b_col[k];
-              c_row[j] = (beta_eff == T{0}) ? alpha * sum
-                                            : beta_eff * c_row[j] + alpha * sum;
-            }
-          }
-          continue;
-        }
-
-        for (index_t j0 = 0; j0 < ncur; j0 += tile.nr) {
-          const int n_eff =
-              static_cast<int>(std::min<index_t>(tile.nr, ncur - j0));
-          const T* const b_src = B + kk * ldb + jj + j0;
-          T* const c_col = C + ii * ldc + jj + j0;
-          for (index_t i0 = 0; i0 < mcur; i0 += tile.mr) {
-            const int m_eff =
-                static_cast<int>(std::min<index_t>(tile.mr, mcur - i0));
-            T* const c_tile = c_col + i0 * ldc;
-            const bool edge = m_eff < tile.mr || n_eff < tile.nr;
-            if (mode.a == Trans::N) {
-              const T* a_tile = A + (ii + i0) * lda + kk;
-              if (!main_ok || (edge && !edges_ok)) {
-                ukr::kern_scalar<T, AAccess::kDirect, BAccess::kDirect>(
-                    m_eff, n_eff, kcur, a_tile, lda, b_src, ldb, c_tile,
-                    ldc, alpha, beta_eff);
-              } else {
-                ukr::run_main_tile<T, AAccess::kDirect, BAccess::kDirect>(
-                    m_eff, n_eff, kcur, a_tile, lda, b_src, ldb, c_tile,
-                    ldc, alpha, beta_eff);
-              }
-            } else {
-              // op(A) column k is the contiguous run a[k*lda + i]: the
-              // kPacked scalar indexing doubles as in-place transposed
-              // access with lda as the sliver stride.
-              const T* a_tile = A + kk * lda + ii + i0;
-              if (!main_ok || (edge && !edges_ok)) {
-                ukr::kern_scalar<T, AAccess::kPacked, BAccess::kDirect>(
-                    m_eff, n_eff, kcur, a_tile, lda, b_src, ldb, c_tile,
-                    ldc, alpha, beta_eff);
-              } else {
-                ukr::run_main_tile<T, AAccess::kDirectTrans,
-                                   BAccess::kDirect>(
-                    m_eff, n_eff, kcur, a_tile, lda, b_src, ldb, c_tile,
-                    ldc, alpha, beta_eff);
-              }
-            }
-          }
-        }
-      }
-    }
-  }
-}
-
-/// Quarantine executor: every main-kernel family this plan would dispatch
-/// failed its selfcheck probe, so trust nothing downstream of the scalar
-/// reference - no packing, no fused kernels, no register tiles. Runs the
-/// plan's cache blocking (so beta_eff semantics match the optimized
-/// executor) with the same in-place triple loop as baselines::naive_gemm;
-/// within one k-block the accumulation order is identical to naive's.
+/// row_tiles for every access pair, indexed [A access * 3 + B access].
 template <typename T>
-void execute_serial_scalar(const GemmPlan<T>& plan, T alpha, const T* A,
-                           index_t lda, const T* B, index_t ldb, T beta,
-                           T* C, index_t ldc) {
-  const index_t M = plan.m, N = plan.n, K = plan.k;
-  const Mode mode = plan.mode;
-  const model::Blocking& blk = plan.blk;
-  for (index_t jj = 0; jj < N; jj += blk.nc) {
-    const index_t ncur = std::min<index_t>(blk.nc, N - jj);
-    for (index_t ii = 0; ii < M; ii += blk.mc) {
-      const index_t mcur = std::min<index_t>(blk.mc, M - ii);
-      for (index_t kk = 0; kk < K; kk += blk.kc) {
-        const index_t kcur = std::min<index_t>(blk.kc, K - kk);
-        const T beta_eff = (kk == 0) ? beta : T{1};
-        for (index_t i = ii; i < ii + mcur; ++i) {
-          for (index_t j = jj; j < jj + ncur; ++j) {
-            T sum{};
-            for (index_t k = kk; k < kk + kcur; ++k) {
-              const T av =
-                  (mode.a == Trans::N) ? A[i * lda + k] : A[k * lda + i];
-              const T bv =
-                  (mode.b == Trans::N) ? B[k * ldb + j] : B[j * ldb + k];
-              sum += av * bv;
-            }
-            T& cv = C[i * ldc + j];
-            cv = (beta_eff == T{0}) ? alpha * sum
-                                    : beta_eff * cv + alpha * sum;
-          }
-        }
-      }
-    }
-  }
+constexpr auto kRowTiles = []<int... I>(std::integer_sequence<int, I...>) {
+  return std::array<RowTilesFn<T>, sizeof...(I)>{
+      &row_tiles<T, static_cast<AAccess>(I / 3),
+                 static_cast<BAccess>(I % 3)>...};
+}(std::make_integer_sequence<int, 9>{});
+
+/// The kern_main family a plan's packing selects (kMain full tiles or
+/// kEdge remainder tiles): the unit plan_create's quarantine gate probes
+/// and the arena audit blames. model::decide_packing packs every
+/// transposed operand, so a planned operand is packed or direct.
+template <typename T>
+selfcheck::Variant plan_variant(const GemmPlan<T>& p,
+                                selfcheck::Kind kind = selfcheck::Kind::kMain) {
+  return ukr::family_variant<T>(
+      kind, p.a_packed ? AAccess::kPacked : AAccess::kDirect,
+      p.b_packed ? BAccess::kPacked : BAccess::kDirect);
 }
 
 /// Post-execution canary audit of this thread's guarded pack arena
@@ -327,15 +175,7 @@ void verify_pack_arena(const GemmPlan<T>& plan, AlignedBuffer& arena) {
   if (intact) return;
 
   telemetry::note_arena_corruption();
-  using ukr::AAccess;
-  using ukr::BAccess;
-  // Same main-variant mapping as plan_create's quarantine gate: the
-  // trans-A no-pack plan maps to the trans-direct quarantine unit.
-  const AAccess aa = plan.a_packed                ? AAccess::kPacked
-                     : (plan.mode.a == Trans::N) ? AAccess::kDirect
-                                                 : AAccess::kDirectTrans;
-  const BAccess ba = plan.b_packed ? BAccess::kPacked : BAccess::kDirect;
-  const selfcheck::Variant v = ukr::main_variant<T>(aa, ba);
+  const selfcheck::Variant v = plan_variant(plan);
   selfcheck::quarantine(v);
   char msg[192];
   std::snprintf(msg, sizeof msg,
@@ -348,6 +188,10 @@ void verify_pack_arena(const GemmPlan<T>& plan, AlignedBuffer& arena) {
 
 }  // namespace
 
+/// The one serial loop nest (jj over nc, ii over mc, kk over kc, then the
+/// nr slivers and mr row tiles). Every degraded mode is an access or a
+/// kernel choice inside it: without an arena both operands are read in
+/// place, and a quarantined plan runs kern_scalar on every tile.
 template <typename T>
 void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
                     index_t lda, const T* B, index_t ldb, T beta, T* C,
@@ -359,62 +203,56 @@ void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
     return;
   }
 
-  if (plan.force_scalar_kernels) {
-    execute_serial_scalar(plan, alpha, A, lda, B, ldb, beta, C, ldc);
-    return;
-  }
-
-  const model::Tile& tile = plan.tile;
-
-  // Fast path for small GEMMs (the library's headline workload): the plan
-  // resolved the no-packing case once; jump straight to the register-tile
-  // loops over the full K.
-  if (plan.small_fast_path) {
-    for (index_t j0 = 0; j0 < N; j0 += tile.nr) {
-      const int n_eff =
-          static_cast<int>(std::min<index_t>(tile.nr, N - j0));
-      for (index_t i0 = 0; i0 < M; i0 += tile.mr) {
-        const int m_eff =
-            static_cast<int>(std::min<index_t>(tile.mr, M - i0));
-        ukr::run_main_tile<T, ukr::AAccess::kDirect, ukr::BAccess::kDirect>(
-            m_eff, n_eff, K, A + i0 * lda, lda, B + j0, ldb,
-            C + i0 * ldc + j0, ldc, alpha, beta);
-      }
-    }
-    return;
-  }
-
   const Mode mode = plan.mode;
   const model::Blocking& blk = plan.blk;
-  const model::PackDecision& pack_plan = plan.pack;
-  const bool a_packed = plan.a_packed;
-  const bool b_packed = plan.b_packed;
-  const bool a_fused = plan.a_fused;
-  const bool b_fusable = plan.b_fusable;
-  const index_t ac_elems = plan.ac_elems;
-  const index_t bc_sliver = plan.bc_sliver;
+  const model::Tile& tile = plan.tile;
+  bool a_packed = plan.a_packed;
+  bool b_packed = plan.b_packed;
+  TileKernels kern{!plan.force_scalar_kernels, plan.optimized_edges};
 
   // Grow-only: a no-op unless this thread's arena has never served a
-  // problem this large. If the reservation fails, degrade to the no-pack
-  // executor instead of throwing out of the hot path.
-  T* ac = nullptr;
-  AlignedBuffer* arena_ptr = nullptr;
+  // problem this large. If the reservation fails, run the same nest with
+  // both operands read in place (the paper's no-pack path applied
+  // unconditionally) instead of throwing out of the hot path: the same
+  // blocking and tile order, so NN/TN results stay bitwise identical.
+  AlignedBuffer* arena = nullptr;
   if (a_packed || b_packed) {
-    AlignedBuffer& arena = thread_pack_arena();
+    arena = &thread_pack_arena();
     try {
       if (SHALOM_FAULT_POINT(fault::Site::kAllocPackArena))
         throw std::bad_alloc();
-      arena.reserve(plan.arena_bytes);
+      arena->reserve(plan.arena_bytes);
     } catch (const std::bad_alloc&) {
       telemetry::note_fallback_nopack();
-      execute_serial_nopack(plan, alpha, A, lda, B, ldb, beta, C, ldc);
-      return;
+      arena = nullptr;
+      a_packed = b_packed = false;
+      // The packed execution never consulted the in-place families, so
+      // re-check their verdicts (cold path; one atomic load per family
+      // after the first probe).
+      const AAccess a_in =
+          (mode.a == Trans::N) ? AAccess::kDirect : AAccess::kDirectTrans;
+      kern.main = kern.main && selfcheck::variant_ok(ukr::family_variant<T>(
+                                   selfcheck::Kind::kMain, a_in,
+                                   BAccess::kDirect));
+      kern.edges = kern.main && kern.edges &&
+                   selfcheck::variant_ok(ukr::family_variant<T>(
+                       selfcheck::Kind::kEdge, a_in, BAccess::kDirect));
     }
-    arena_ptr = &arena;
-    ac = arena.as<T>();
   }
+  T* const ac = arena != nullptr ? arena->as<T>() : nullptr;
   T* const bc_base =
-      ac != nullptr ? ac + ac_elems + ukr::kPackSlackElems : nullptr;
+      ac != nullptr ? ac + plan.ac_elems + ukr::kPackSlackElems : nullptr;
+  const bool a_fused = a_packed && plan.a_fused;
+  const bool b_fusable = b_packed && plan.b_fusable;
+
+  const AAccess aa = a_packed              ? AAccess::kPacked
+                     : (mode.a == Trans::N) ? AAccess::kDirect
+                                            : AAccess::kDirectTrans;
+  const BAccess ba = b_packed              ? BAccess::kPacked
+                     : (mode.b == Trans::N) ? BAccess::kDirect
+                                            : BAccess::kDirectTrans;
+  const RowTilesFn<T> run_tiles =
+      kRowTiles<T>[static_cast<int>(aa) * 3 + static_cast<int>(ba)];
 
   for (index_t jj = 0; jj < N; jj += blk.nc) {
     const index_t ncur = std::min<index_t>(blk.nc, N - jj);
@@ -424,8 +262,8 @@ void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
         const index_t kcur = std::min<index_t>(blk.kc, K - kk);
         const T beta_eff = (kk == 0) ? beta : T{1};
 
-        BlockCtx<T> ctx;
-        ctx.a_packed = a_packed;
+        const T* a_blk;
+        index_t a_ld;
         if (a_packed) {
           if (a_fused) {
             // Deferred: the s == 0 stripe loop below fills Ac.
@@ -434,12 +272,11 @@ void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
           } else {
             pack::pack_a_t(A + kk * lda + ii, lda, mcur, kcur, tile.mr, ac);
           }
-          ctx.a_base = ac;
-          ctx.a_ld = tile.mr;
+          a_blk = ac;
+          a_ld = tile.mr;
         } else {
-          SHALOM_ASSERT(mode.a == Trans::N);
-          ctx.a_base = A + ii * lda + kk;
-          ctx.a_ld = lda;
+          a_blk = (mode.a == Trans::N) ? A + ii * lda + kk : A + kk * lda + ii;
+          a_ld = lda;
         }
 
         const index_t nslivers = (ncur + tile.nr - 1) / tile.nr;
@@ -453,14 +290,15 @@ void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
           T* const c_col = C + ii * ldc + jj + j0;
           index_t i_start = 0;
 
+          const T* b_src;
+          index_t b_ld;
           if (!b_packed) {
-            SHALOM_ASSERT(mode.b == Trans::N);
-            ctx.b_src = B + kk * ldb + jj + j0;
-            ctx.b_ld = ldb;
-            ctx.b_packed = false;
+            b_src = (mode.b == Trans::N) ? B + kk * ldb + jj + j0
+                                         : B + (jj + j0) * ldb + kk;
+            b_ld = ldb;
           } else {
-            T* const bc_cur = bc_base + (s % 2) * bc_sliver;
-            T* const bc_next = bc_base + ((s + 1) % 2) * bc_sliver;
+            T* const bc_cur = bc_base + (s % 2) * plan.bc_sliver;
+            T* const bc_next = bc_base + ((s + 1) % 2) * plan.bc_sliver;
             const bool fused = b_fusable && mcur >= tile.mr;
 
             if (fused && mode.b == Trans::N) {
@@ -472,7 +310,7 @@ void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
               // final sliver packs itself on arrival.
               const bool next_full =
                   s + 1 < nslivers && ncur - (s + 1) * tile.nr >= tile.nr;
-              const bool ahead = pack_plan.pack_ahead == 1 && next_full;
+              const bool ahead = plan.pack.pack_ahead == 1 && next_full;
               const T* b_cur =
                   prepacked ? bc_cur : B + kk * ldb + jj + j0;
               const index_t b_cur_ld = prepacked ? tile.nr : ldb;
@@ -514,54 +352,35 @@ void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
                                tile.nr, bc_cur);
               }
             }
-            ctx.b_src = bc_cur;
-            ctx.b_ld = tile.nr;
-            ctx.b_packed = true;
+            b_src = bc_cur;
+            b_ld = tile.nr;
           }
 
           if (a_fused && s == 0) {
             // First sliver: every full stripe computes its C tile with
             // the fused kernel while packing its Ac sliver; an edge
-            // stripe packs plainly then runs the packed-A kernel.
-            for (index_t i0 = 0; i0 < mcur; i0 += tile.mr) {
-              const int m_eff = static_cast<int>(
-                  std::min<index_t>(tile.mr, mcur - i0));
-              T* const ac_sliver =
-                  ac + (i0 / tile.mr) * pack::a_sliver_elems(kcur, tile.mr);
-              const T* a_cols = A + kk * lda + ii + i0;
-              T* const c_tile = c_col + i0 * ldc;
-              if (m_eff == tile.mr) {
-                ukr::run_fused_pack_tn<T>(ctx.b_packed, n_eff, kcur,
-                                          a_cols, lda, ac_sliver,
-                                          ctx.b_src, ctx.b_ld, c_tile, ldc,
-                                          alpha, beta_eff);
-              } else {
-                pack::pack_a_t(a_cols, lda, m_eff, kcur, tile.mr,
-                               ac_sliver);
-                if (ctx.b_packed) {
-                  ukr::run_main_tile<T, ukr::AAccess::kPacked,
-                                     ukr::BAccess::kPacked>(
-                      m_eff, n_eff, kcur, ac_sliver, tile.mr, ctx.b_src,
-                      ctx.b_ld, c_tile, ldc, alpha, beta_eff);
-                } else {
-                  ukr::run_main_tile<T, ukr::AAccess::kPacked,
-                                     ukr::BAccess::kDirect>(
-                      m_eff, n_eff, kcur, ac_sliver, tile.mr, ctx.b_src,
-                      ctx.b_ld, c_tile, ldc, alpha, beta_eff);
-                }
-              }
+            // stripe packs plainly, then runs as a packed-A row tile.
+            for (; i_start + tile.mr <= mcur; i_start += tile.mr) {
+              ukr::run_fused_pack_tn<T>(
+                  b_packed, n_eff, kcur, A + kk * lda + ii + i_start, lda,
+                  ac + (i_start / tile.mr) *
+                           pack::a_sliver_elems(kcur, tile.mr),
+                  b_src, b_ld, c_col + i_start * ldc, ldc, alpha, beta_eff);
             }
-            continue;
+            if (i_start < mcur)
+              pack::pack_a_t(A + kk * lda + ii + i_start, lda,
+                             mcur - i_start, kcur, tile.mr,
+                             ac + (i_start / tile.mr) *
+                                      pack::a_sliver_elems(kcur, tile.mr));
           }
-          run_row_tiles(ctx, tile, plan.optimized_edges,
-                        plan.force_scalar_kernels, i_start, mcur, n_eff,
-                        kcur, c_col, ldc, alpha, beta_eff);
+          run_tiles(tile, kern, i_start, mcur, n_eff, kcur, a_blk, a_ld,
+                    b_src, b_ld, c_col, ldc, alpha, beta_eff);
         }
       }
     }
   }
 
-  if (arena_ptr != nullptr) verify_pack_arena(plan, *arena_ptr);
+  if (arena != nullptr) verify_pack_arena(plan, *arena);
 }
 
 template void execute_serial<float>(const GemmPlan<float>&, float,
@@ -691,17 +510,18 @@ GemmPlan<T> build_plan(Mode mode, index_t M, index_t N, index_t K,
     }
   }
 
-  // Serial plan: resolve the per-call decision chain once.
-  using ukr::AAccess;
-  using ukr::BAccess;
+  // Serial plan: resolve the per-call decision chain once. A small NN
+  // problem whose B stays L1-resident (the library's headline workload)
+  // runs as one block over the whole problem with both operands read in
+  // place: no blocking model, no packing, and no overrides.
   if (cfg.selective_packing && cfg.optimized_edges && mode.a == Trans::N &&
       mode.b == Trans::N &&
       static_cast<std::size_t>(K) * N * sizeof(T) <= mach.l1d.size_bytes &&
-      selfcheck::variant_ok(
-          ukr::main_variant<T>(AAccess::kDirect, BAccess::kDirect)) &&
-      selfcheck::variant_ok(
-          ukr::edge_variant<T>(AAccess::kDirect, BAccess::kDirect))) {
-    p.small_fast_path = true;
+      selfcheck::variant_ok(ukr::family_variant<T>(
+          selfcheck::Kind::kMain, AAccess::kDirect, BAccess::kDirect)) &&
+      selfcheck::variant_ok(ukr::family_variant<T>(
+          selfcheck::Kind::kEdge, AAccess::kDirect, BAccess::kDirect))) {
+    p.blk = {M, K, N};
     return p;
   }
 
@@ -721,22 +541,19 @@ GemmPlan<T> build_plan(Mode mode, index_t M, index_t N, index_t K,
   // Quarantine gate (common/selfcheck.h): the first plan that would
   // dispatch a kernel family probes it lazily here; a failed probe routes
   // this plan - and every later one - around the family. A quarantined
-  // main family forces the scalar reference kernel on every tile; a
-  // quarantined edge family only disables the vectorized remainder tiles.
-  {
-    // The in-place transposed-A main path has no packed-B variant, so a
-    // trans-A no-pack plan maps to the trans-direct quarantine unit.
-    const AAccess aa = p.a_packed ? AAccess::kPacked
-                       : (mode.a == Trans::N) ? AAccess::kDirect
-                                              : AAccess::kDirectTrans;
-    const BAccess ba = p.b_packed ? BAccess::kPacked : BAccess::kDirect;
-    p.force_scalar_kernels =
-        !selfcheck::variant_ok(ukr::main_variant<T>(aa, ba));
-    if (p.optimized_edges)
-      p.optimized_edges =
-          !p.force_scalar_kernels &&
-          selfcheck::variant_ok(ukr::edge_variant<T>(aa, ba));
+  // main family makes every tile run kern_scalar with both operands read
+  // in place (no packing, no arena); a quarantined edge family only
+  // disables the vectorized remainder tiles.
+  if (!selfcheck::variant_ok(plan_variant(p))) {
+    p.force_scalar_kernels = true;
+    p.optimized_edges = false;
+    p.pack = {};
+    p.a_packed = p.b_packed = false;
+    return p;
   }
+  if (p.optimized_edges)
+    p.optimized_edges =
+        selfcheck::variant_ok(plan_variant(p, selfcheck::Kind::kEdge));
 
   // Fused (overlapped) A packing for the transposed-A modes (Section
   // 4.3): the first column sliver's stripes compute while streaming op(A)
@@ -746,17 +563,22 @@ GemmPlan<T> build_plan(Mode mode, index_t M, index_t N, index_t K,
   p.a_fused = p.a_packed && p.pack.a == model::PackPlan::kPackFused &&
               mode.a == Trans::T && p.tile.mr == ukr::kMaxMr &&
               p.optimized_edges &&
-              selfcheck::variant_ok(ukr::fused_tn_variant<T>());
+              selfcheck::variant_ok(ukr::family_variant<T>(
+                  selfcheck::Kind::kFusedTn, AAccess::kDirectTrans,
+                  p.b_packed ? BAccess::kPacked : BAccess::kDirect));
   // Fused (overlapped) B packing needs in-place A reads and a full-height
   // first stripe (the NN/NT kernels). For TN/TT it is A that gets the
   // fused treatment (a_fused above); fusing both at once would double the
   // pack stores inside one kernel for no benefit.
   p.b_fusable = p.b_packed && p.pack.b == model::PackPlan::kPackFused &&
                 !p.a_packed && p.tile.mr == ukr::kMaxMr &&
-                p.tile.nr == ukr::kNrFull<T> && !p.force_scalar_kernels &&
-                selfcheck::variant_ok(mode.b == Trans::N
-                                          ? ukr::fused_nn_variant<T>()
-                                          : ukr::fused_nt_variant<T>());
+                p.tile.nr == ukr::kNrFull<T> &&
+                selfcheck::variant_ok(ukr::family_variant<T>(
+                    mode.b == Trans::N ? selfcheck::Kind::kFusedNn
+                                       : selfcheck::Kind::kFusedNt,
+                    AAccess::kDirect,
+                    mode.b == Trans::N ? BAccess::kDirect
+                                       : BAccess::kDirectTrans));
 
   // Arena: [Ac panel][Bc sliver 0][Bc sliver 1], each with vector slack.
   p.ac_elems =

@@ -46,10 +46,8 @@ struct GemmPlan {
 
   /// Register tile, clamped to the instantiated kernel family.
   model::Tile tile{};
-  /// True when the no-blocking small-GEMM fast path applies (NN, B
-  /// L1-resident, full optimizations): the blocked fields below are unused.
-  bool small_fast_path = false;
-
+  /// Cache blocking. A small NN plan (B L1-resident, full optimizations)
+  /// is one block {M, K, N} with nothing packed.
   model::Blocking blk{};
   model::PackDecision pack{};
   bool a_packed = false, b_packed = false;
@@ -57,8 +55,8 @@ struct GemmPlan {
   bool a_fused = false, b_fusable = false;
   bool optimized_edges = true;
   /// Quarantine routing (common/selfcheck.h): the main kernel family this
-  /// plan would dispatch failed its selfcheck probe, so every tile runs
-  /// the scalar reference kernel instead.
+  /// plan would dispatch failed its selfcheck probe, so nothing is packed
+  /// and every tile runs kern_scalar in place.
   bool force_scalar_kernels = false;
 
   /// Pack-arena layout: [Ac panel][slack][Bc sliver 0][Bc sliver 1].
@@ -125,8 +123,9 @@ template <typename T>
 void execute_plan(const GemmPlan<T>& plan, T alpha, const T* A, index_t lda,
                   const T* B, index_t ldb, T beta, T* C, index_t ldc);
 
-/// Runs the serial loop nest of a threads==1 plan (no validation, no
-/// trivial-case handling beyond what the loops themselves do).
+/// Runs the one serial loop nest of a threads==1 plan (no validation, no
+/// trivial-case handling beyond what the loops themselves do). A failed
+/// pack-arena reservation re-runs the nest with in-place operand access.
 template <typename T>
 void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
                     index_t lda, const T* B, index_t ldb, T beta, T* C,

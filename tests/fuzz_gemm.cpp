@@ -15,8 +15,13 @@
 //       order matches; alpha == 0 is excluded because scale_c short-cuts
 //       the multiply).
 //
+// Under SHALOM_FAULT=alloc.pack_arena:every-1 the tolerance sweep drives
+// every packing plan through the in-place (no-pack) re-run of the loop
+// nest instead.
+//
 // Exits non-zero on the first mismatch, printing a one-line reproducer.
-// Registered under `ctest -L fuzz` (plain and quarantined variants).
+// Registered under `ctest -L fuzz` (plain, quarantined and no-pack
+// variants).
 #include <cinttypes>
 #include <cmath>
 #include <cstdint>
@@ -198,8 +203,8 @@ int main(int argc, char** argv) {
   if (failures != 0) return 1;
 
   const shalom::RobustnessStats s = shalom::robustness_stats();
-  if (bitwise && std::getenv("SHALOM_FAULT") != nullptr &&
-      s.kernels_quarantined == 0) {
+  const char* armed = std::getenv("SHALOM_FAULT");
+  if (bitwise && armed != nullptr && s.kernels_quarantined == 0) {
     // The quarantined ctest variant arms selfcheck.probe; if nothing got
     // quarantined the bitwise pass proved nothing about the re-routing.
     std::fprintf(stderr,
@@ -207,10 +212,19 @@ int main(int argc, char** argv) {
                  "quarantined; re-routing untested\n");
     return 1;
   }
+  if (armed != nullptr && std::strstr(armed, "alloc.pack_arena") != nullptr &&
+      s.fallback_nopack == 0) {
+    // Likewise for the no-pack variant: no degraded execution, no proof.
+    std::fprintf(stderr,
+                 "fuzz_gemm: SHALOM_FAULT arms alloc.pack_arena but no "
+                 "execution fell back to no-pack; fallback untested\n");
+    return 1;
+  }
   std::fprintf(stderr,
                "fuzz_gemm: %ld iterations OK (%s); selfchecks_run=%" PRIu64
-               " kernels_quarantined=%" PRIu64 "\n",
+               " kernels_quarantined=%" PRIu64 " fallback_nopack=%" PRIu64
+               "\n",
                iters, bitwise ? "bitwise vs scalar oracle" : "tolerance",
-               s.selfchecks_run, s.kernels_quarantined);
+               s.selfchecks_run, s.kernels_quarantined, s.fallback_nopack);
   return 0;
 }

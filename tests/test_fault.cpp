@@ -19,6 +19,7 @@
 
 #include "common/fault.h"
 #include "common/selfcheck.h"
+#include "core/plan.h"
 #include "core/shalom.h"
 #include "core/shalom_c.h"
 #include "core/threadpool.h"
@@ -178,6 +179,83 @@ TEST_F(FaultTest, PackArenaFallbackCorrectNT) {
   EXPECT_GT(robustness_stats().fallback_nopack, 0u);
   p.run_reference(1.0f, 0.75f);
   p.expect_matches("no-pack fallback NT");
+}
+
+/// Runs one shape packed, then again with every arena reservation
+/// failing. K*N is sized past any L1 so every mode packs (B under NN, A
+/// under TN, B under NT, both under TT; both everywhere without selective
+/// packing); M and N are not tile multiples and kc_override splits K into
+/// three k-blocks. Without an arena the same loop nest reads both operands
+/// in place: NN/TN results are bitwise those of the packed run, and
+/// transposed B runs scalar tiles within tolerance of naive.
+template <typename T>
+void check_nopack_fallback(Mode mode, bool selective) {
+  SCOPED_TRACE(::testing::Message()
+               << "mode=" << (mode.a == Trans::N ? "N" : "T")
+               << (mode.b == Trans::N ? "N" : "T") << " dtype="
+               << (sizeof(T) == 4 ? "f32" : "f64")
+               << " selective=" << selective);
+  const index_t M = 37, N = 131, K = 130;
+  testing::Problem<T> p(mode, M, N, K);
+  Config cfg;
+  cfg.threads = 1;
+  cfg.kc_override = 48;
+  cfg.selective_packing = selective;
+  const T alpha = T(1.25), beta = T(0.5);
+
+  Matrix<T> c_packed = p.c;
+  gemm(mode.a, mode.b, M, N, K, alpha, p.a.data(), p.a.ld(), p.b.data(),
+       p.b.ld(), beta, c_packed.data(), c_packed.ld(), cfg);
+
+  const std::uint64_t before = robustness_stats().fallback_nopack;
+  fault::arm(fault::Site::kAllocPackArena, fault::Mode::kEveryN, 1);
+  gemm(mode.a, mode.b, M, N, K, alpha, p.a.data(), p.a.ld(), p.b.data(),
+       p.b.ld(), beta, p.c.data(), p.c.ld(), cfg);
+  fault::disarm_all();
+  EXPECT_EQ(robustness_stats().fallback_nopack, before + 1);
+
+  if (mode.b == Trans::N) {
+    expect_bitwise(p.c, c_packed, "no-pack fallback vs packed");
+  } else {
+    p.run_reference(alpha, beta);
+    p.expect_matches("no-pack fallback vs naive");
+  }
+}
+
+TEST_F(FaultTest, PackArenaFallbackAllModes) {
+  for (const Mode mode : testing::kAllModes) {
+    for (const bool selective : {true, false}) {
+      check_nopack_fallback<float>(mode, selective);
+      check_nopack_fallback<double>(mode, selective);
+    }
+  }
+  EXPECT_GT(robustness_stats().faults_injected, 0u);
+}
+
+// The plan packs B, so it gates on the direct-packed family and never
+// consults direct-direct. When the arena then fails, the in-place re-run
+// must re-check the direct-direct verdict and route every tile to
+// kern_scalar: bitwise naive at kc_override = K.
+TEST_F(FaultTest, PackArenaFallbackHonoursQuarantine) {
+  const index_t M = 37, N = 131, K = 130;
+  testing::Problem<float> p({Trans::N, Trans::N}, M, N, K);
+  Config cfg;
+  cfg.threads = 1;
+  cfg.kc_override = K;
+  ASSERT_TRUE(plan_create<float>({Trans::N, Trans::N}, M, N, K, cfg).b_packed);
+
+  selfcheck::reset_for_testing();
+  selfcheck::quarantine(selfcheck::Variant::kMainF32DirectDirect);
+  fault::arm(fault::Site::kAllocPackArena, fault::Mode::kEveryN, 1);
+  gemm(Trans::N, Trans::N, M, N, K, 1.25f, p.a.data(), p.a.ld(), p.b.data(),
+       p.b.ld(), 0.5f, p.c.data(), p.c.ld(), cfg);
+  fault::disarm_all();
+  selfcheck::reset_for_testing();
+  health::reset_for_testing();
+
+  EXPECT_EQ(robustness_stats().fallback_nopack, 1u);
+  p.run_reference(1.25f, 0.5f);
+  expect_bitwise(p.c, p.c_ref, "quarantined no-pack fallback vs naive");
 }
 
 // `once` injection: exactly one execution degrades, the next run packs

@@ -140,14 +140,21 @@ TEST(GemmPlan, DistinctConfigsGetDistinctPlans) {
   const Mode mode{Trans::N, Trans::N};
   Config no_select;
   no_select.selective_packing = false;
-  const GemmPlan<float> plain = plan_create<float>(mode, 16, 16, 16);
+  Config kc4;
+  kc4.kc_override = 4;
+  const GemmPlan<float> plain = plan_create<float>(mode, 16, 20, 12);
   const GemmPlan<float> packed =
-      plan_create<float>(mode, 16, 16, 16, no_select);
-  EXPECT_TRUE(plain.small_fast_path);
-  EXPECT_FALSE(packed.small_fast_path);
+      plan_create<float>(mode, 16, 20, 12, no_select);
+  // A small NN plan is one block over the whole problem with nothing
+  // packed, and blocking overrides leave it alone.
+  EXPECT_FALSE(plain.a_packed || plain.b_packed);
+  EXPECT_EQ(plain.blk.mc, 16);
+  EXPECT_EQ(plain.blk.kc, 12);
+  EXPECT_EQ(plain.blk.nc, 20);
+  EXPECT_EQ(plan_create<float>(mode, 16, 20, 12, kc4).blk.kc, 12);
   EXPECT_TRUE(packed.a_packed && packed.b_packed);
 
-  const Mode tn{Trans::T, Trans::N};  // never the small fast path
+  const Mode tn{Trans::T, Trans::N};  // never a one-block plan
   Config kc8;
   kc8.kc_override = 8;
   EXPECT_EQ(plan_create<float>(tn, 48, 96, 120, kc8).blk.kc, 8);

@@ -168,8 +168,8 @@ TEST_F(QuarantineTest, RoutesToScalarBitwiseF64AllModes) {
 }
 
 TEST_F(QuarantineTest, RoutesToScalarBitwiseSmallFastPathShape) {
-  // A tiny NN problem that would normally take the small-GEMM fast path:
-  // quarantine must force it onto the scalar route too.
+  // A tiny NN problem that would normally run as one in-place block with
+  // vectorized tiles: quarantine must force it onto the scalar route too.
   check_quarantined_bitwise<float>({Trans::N, Trans::N}, 7, 12, 9, 1.0f,
                                    0.0f, 1);
 }

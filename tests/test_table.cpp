@@ -197,7 +197,7 @@ TEST_F(TableTest, RejectedRegistrationCountsTelemetry) {
 // ---------------------------------------------------------------------------
 
 TEST_F(TableTest, RoundTripPublishesOverridesAndCounts) {
-  // One record on a blocked (not small-fast-path) shape, so its kc/mc/nc
+  // One record on a blocked (not small one-block) shape, so its kc/mc/nc
   // are visible in the plan, plus three from save_table.
   const Mode mode{Trans::T, Trans::N};
   TunedRecord tn = make_record('s', 48, 96, 120);
