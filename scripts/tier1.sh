@@ -7,11 +7,10 @@
 # stress, differential-fuzz and the tuned-table corruption battery
 # (allocator edge cases, cross-thread teardown, kernel-boundary
 # arithmetic, file parsing of attacker-shaped bytes), TSan over stress,
-# the concurrency-engine battery (overlapping work-stealing rounds,
-# concurrent per-call planning over shared arenas, async stream
-# submission) and the
-# self-healing battery (forced recovery racing submitters, registry
-# churn).
+# the concurrency-engine battery (overlapping fork-join rounds and the
+# ThreadPool suite, concurrent per-call planning over shared arenas,
+# async stream submission) and the self-healing battery (forced
+# recovery racing submitters, registry churn).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -129,12 +128,12 @@ ctest --test-dir build-ubsan --output-on-failure -j "${JOBS}" \
 
 echo "=== tier1: TSan build, stress + engine + health labels ==="
 # The data-race hunt for the concurrent-server machinery: overlapping
-# fork-join rounds with stealing, concurrent gemm callers planning in
-# place over shared pool workers and arenas, and GemmStream submission
-# from many client threads. These
-# tests must be TSan-clean; the scheduler uses explicit seq_cst atomic
-# operations (never fences) precisely so TSan models every ordering it
-# relies on. The health label rides along for the recovery layer's
+# fork-join rounds and the ThreadPool suite (test_parallel, labelled
+# engine: exactly-once rounds, growth racing live rounds), concurrent
+# gemm callers planning in place over shared pool workers and arenas,
+# and GemmStream submission from many client threads. These tests must
+# be TSan-clean; the pool uses explicit atomic operations (never fences)
+# so TSan models every ordering it relies on. The health label rides along for the recovery layer's
 # races: forced recover_now passes against live submitters and registry
 # churn.
 cmake -B build-tsan -S . \

@@ -228,8 +228,6 @@ const char* site_name(Site site) noexcept {
       return "threadpool.heartbeat";
     case Site::kGuardCanary:
       return "guard.canary";
-    case Site::kThreadpoolSteal:
-      return "threadpool.steal";
     case Site::kSubmitQueue:
       return "submit.queue";
     case Site::kEngineDeadline:

@@ -32,10 +32,6 @@
 //                        which is what the watchdog must recover from
 //   guard.canary         the post-execution arena canary verification; an
 //                        injected failure reports the canaries as violated
-//   threadpool.steal     one steal attempt against one victim deque; an
-//                        injected failure skips that victim (the thief falls
-//                        through to the injection list or parks), degrading
-//                        load balance but never correctness
 //   submit.queue         enqueueing one async GEMM request into a stream
 //                        (core/engine.h); an injected failure rejects the
 //                        submission with std::bad_alloc before anything is
@@ -225,19 +221,18 @@ enum class Site : int {
   kGuardTrap = 3,
   kThreadpoolHeartbeat = 4,
   kGuardCanary = 5,
-  kThreadpoolSteal = 6,
-  kSubmitQueue = 7,
-  kEngineDeadline = 8,
-  kEngineShed = 9,
-  kTableOpen = 10,
-  kTableRead = 11,
-  kTableWrite = 12,
-  kTableRename = 13,
-  kTableFsync = 14,
-  kHealthProbe = 15,
-  kHealthRespawn = 16,
+  kSubmitQueue = 6,
+  kEngineDeadline = 7,
+  kEngineShed = 8,
+  kTableOpen = 9,
+  kTableRead = 10,
+  kTableWrite = 11,
+  kTableRename = 12,
+  kTableFsync = 13,
+  kHealthProbe = 14,
+  kHealthRespawn = 15,
 };
-inline constexpr int kSiteCount = 17;
+inline constexpr int kSiteCount = 16;
 
 /// Trigger modes (see the header comment for semantics).
 enum class Mode : std::uint32_t {

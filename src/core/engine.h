@@ -8,7 +8,7 @@
 // queue, SHAPE-BUCKETS it (requests are grouped by transpose mode and
 // ordered by (m, n, k), so identical shapes run back-to-back on warm
 // operands and pack arenas) and coalesces each bucket into one gemm_batch()
-// call over the work-stealing pool (core/threadpool.h). Head-of-line
+// call over the fork-join pool (core/threadpool.h). Head-of-line
 // blocking disappears: submitters never wait on other requests' execution.
 //
 // Admission control: the pending queue is bounded (StreamOptions::

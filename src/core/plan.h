@@ -14,7 +14,7 @@
 // Plans are immutable after creation and safe to execute concurrently from
 // multiple threads: serial (threads == 1) executions are fully independent
 // (each uses the calling thread's pack arena), while parallel plans run
-// their fork-join rounds on the shared work-stealing ThreadPool, where
+// their fork-join rounds on the shared fork-join ThreadPool, where
 // rounds from independent callers overlap (core/threadpool.h).
 //
 // Tuned blockings (tuning/table.h) reach plans through one immutable

@@ -138,7 +138,7 @@ int shalom_selftest(void);
  * plan snapshots every shape-dependent decision, so repeated executions
  * skip the per-call analytic models entirely. Executing one plan from
  * several threads at once is safe; parallel (threads > 1) plans run
- * their fork-join rounds on the library's shared work-stealing pool,
+ * their fork-join rounds on the library's shared fork-join pool,
  * where rounds from independent callers overlap.
  * ---------------------------------------------------------------------- */
 
@@ -169,7 +169,7 @@ void shalom_plan_destroy(shalom_plan* plan);
  * executing it. shalom_submit_* validates the arguments, enqueues the
  * request and returns immediately with a future; a drainer thread behind
  * the stream shape-buckets pending requests and coalesces each bucket
- * into one batched execution over the work-stealing pool, so submitters
+ * into one batched execution over the fork-join pool, so submitters
  * never wait on other requests and repeated shapes share warm plans.
  *
  * The caller's A/B/C buffers must stay alive and unmodified (C: un-read)

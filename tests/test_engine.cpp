@@ -1,6 +1,6 @@
-// Concurrency battery for the execution engine (PR 6): the work-stealing
-// ThreadPool with overlapping fork-join rounds, the caller-inline help
-// path, steal/wedge fault behaviour, and the asynchronous GemmStream
+// Concurrency battery for the execution engine: the fork-join
+// ThreadPool with overlapping rounds, the caller-inline help path, the
+// wedged-worker fault behaviour, and the asynchronous GemmStream
 // front-end. Labelled `engine`; scripts/tier1.sh re-runs this suite (with
 // the stress label) under ThreadSanitizer, so every test here must also
 // be race-clean by construction - no unsynchronized test-side state.
@@ -22,15 +22,6 @@
 
 namespace shalom {
 namespace {
-
-/// Forces the round-admission policy for one test and restores the env
-/// default on scope exit, so no test leaks its override into the next.
-struct SerializeRoundsGuard {
-  explicit SerializeRoundsGuard(bool on) {
-    ThreadPool::set_serialize_rounds_for_testing(on);
-  }
-  ~SerializeRoundsGuard() { ThreadPool::clear_serialize_rounds_override(); }
-};
 
 class EngineTest : public ::testing::Test {
  protected:
@@ -58,10 +49,9 @@ int count_bitwise_diffs(const Matrix<float>& got, const Matrix<float>& want) {
 // N clients x M shapes: every client's product under full round overlap
 // must be bitwise identical to the same call run in isolation. The
 // partition assigns each C sub-block to exactly one task with a fixed
-// serial loop nest, so WHICH thread steals a task must never show up in
+// serial loop nest, so WHICH thread claims a task must never show up in
 // the arithmetic.
 TEST_F(EngineTest, ConcurrentClientsBitwiseMatchIsolatedRuns) {
-  SerializeRoundsGuard overlap(false);
   struct Case {
     Mode mode;
     index_t m, n, k;
@@ -118,7 +108,6 @@ TEST_F(EngineTest, ConcurrentClientsBitwiseMatchIsolatedRuns) {
 // with the other round's task 0; the deadline keeps a scheduler regression
 // from hanging the suite - the assertion below fails instead.
 TEST_F(EngineTest, IndependentRoundsOverlap) {
-  SerializeRoundsGuard overlap(false);
   ThreadPool pool(2);
   std::atomic<int> arrived{0};
   const auto rendezvous = [&arrived] {
@@ -146,45 +135,49 @@ TEST_F(EngineTest, IndependentRoundsOverlap) {
   EXPECT_GE(pool.max_overlapped_rounds_for_testing(), 2);
 }
 
-// The SHALOM_SERIALIZE_ROUNDS compatibility mode restores the PR 5
-// one-round-at-a-time admission: correct results, no overlap ever.
+// Many callers' rounds on one small pool: 4 callers x 8 rounds, each
+// round checked for every task running exactly once. (The name is kept
+// from the retired one-round-at-a-time admission mode; what survives of
+// it is the exactly-once property under contention.)
 TEST_F(EngineTest, SerializedRoundsDoNotOverlap) {
-  SerializeRoundsGuard serialize(true);
   ThreadPool pool(2);
   std::atomic<int> runs{0};
+  std::atomic<int> bad{0};
   std::vector<std::thread> callers;
   for (int caller = 0; caller < 4; ++caller) {
     callers.emplace_back([&] {
       for (int round = 0; round < 8; ++round) {
+        std::atomic<int> counts[2] = {{0}, {0}};
         pool.parallel_for(
             2,
-            [&](int) {
+            [&](int t) {
+              counts[t].fetch_add(1, std::memory_order_relaxed);
               runs.fetch_add(1, std::memory_order_relaxed);
               std::this_thread::sleep_for(std::chrono::milliseconds(1));
             },
             /*watchdog_ms=*/0);
+        for (auto& c : counts)
+          if (c.load(std::memory_order_relaxed) != 1)
+            bad.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
   for (auto& t : callers) t.join();
+  EXPECT_EQ(bad.load(std::memory_order_relaxed), 0)
+      << "a task was lost or ran twice";
   EXPECT_EQ(runs.load(std::memory_order_relaxed), 4 * 8 * 2);
-  EXPECT_EQ(pool.max_overlapped_rounds_for_testing(), 1)
-      << "serialize mode must admit one round at a time";
 }
 
 // ---------------------------------------------------------------------------
-// Fault sites: steal skip and wedged workers
+// Exactly-once rounds and wedged workers
 // ---------------------------------------------------------------------------
 
-// threadpool.steal failing on EVERY attempt may only degrade load balance:
-// all work still runs exactly once (via own deques, the injection list,
-// and the leader), and results stay right.
+// Load balance is the partition's job, never correctness: 20 4-task
+// rounds each run every task exactly once, and a threads=4 gemm matches
+// the oracle. (The name is kept from the retired steal fault site, whose
+// subject - a scheduler hint failing - no longer exists.)
 TEST_F(EngineTest, StealFaultDegradesOnlyLoadBalance) {
-  if (!SHALOM_FAULT_INJECTION)
-    GTEST_SKIP() << "built without SHALOM_FAULT_INJECTION";
-  SerializeRoundsGuard overlap(false);
   ThreadPool pool(4);
-  fault::arm(fault::Site::kThreadpoolSteal, fault::Mode::kEveryN, 1);
   for (int round = 0; round < 20; ++round) {
     std::vector<std::atomic<int>> counts(4);
     pool.parallel_for(
@@ -192,19 +185,16 @@ TEST_F(EngineTest, StealFaultDegradesOnlyLoadBalance) {
         /*watchdog_ms=*/0);
     for (auto& c : counts)
       ASSERT_EQ(c.load(std::memory_order_relaxed), 1)
-          << "task lost or duplicated under steal faults in round " << round;
+          << "task lost or duplicated in round " << round;
   }
-  fault::disarm_all();
 
   testing::Problem<float> p({Trans::N, Trans::T}, 60, 90, 40);
   Config cfg;
   cfg.threads = 4;
-  fault::arm(fault::Site::kThreadpoolSteal, fault::Mode::kEveryN, 1);
   gemm(Trans::N, Trans::T, p.m, p.n, p.k, 1.0f, p.a.data(), p.a.ld(),
        p.b.data(), p.b.ld(), 0.0f, p.c.data(), p.c.ld(), cfg);
-  fault::disarm_all();
   p.run_reference(1.0f, 0.0f);
-  p.expect_matches("gemm under steal faults");
+  p.expect_matches("threads=4 gemm");
 }
 
 // Even when EVERY worker that picks up work wedges, a watchdog-free round
@@ -213,7 +203,6 @@ TEST_F(EngineTest, StealFaultDegradesOnlyLoadBalance) {
 TEST_F(EngineTest, LeaderCompletesRoundWhenAllWorkersWedge) {
   if (!SHALOM_FAULT_INJECTION)
     GTEST_SKIP() << "built without SHALOM_FAULT_INJECTION";
-  SerializeRoundsGuard overlap(false);
   ThreadPool pool(4);
   std::vector<std::atomic<int>> counts(4);
   fault::arm(fault::Site::kThreadpoolHeartbeat, fault::Mode::kEveryN, 1);
@@ -228,14 +217,13 @@ TEST_F(EngineTest, LeaderCompletesRoundWhenAllWorkersWedge) {
         << "task " << t;
 }
 
-// PR 5 wedge-recovery regression, re-run under the stealing scheduler: a
-// worker wedged at pickup (its queued hints stay stealable, its claimed
-// nothing) must be recovered by the watchdog leader with every task run
+// Wedge-recovery regression: a worker wedged at pickup (it drew a
+// task but claimed nothing; the round's other tasks stay with the live
+// workers) must be recovered by the watchdog leader with every task run
 // exactly once, and the pool marked degraded.
 TEST_F(EngineTest, WatchdogRecoversWedgedWorkerUnderStealing) {
   if (!SHALOM_FAULT_INJECTION)
     GTEST_SKIP() << "built without SHALOM_FAULT_INJECTION";
-  SerializeRoundsGuard overlap(false);
   ThreadPool pool(4);
   if (pool.max_threads() < 4)
     GTEST_SKIP() << "could not spawn 3 workers on this host";

@@ -10,6 +10,7 @@
 // skip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "common/health.h"
 #include "common/selfcheck.h"
 #include "core/plan.h"
 #include "core/shalom.h"
@@ -103,6 +105,8 @@ TEST_F(FaultTest, SpecParsing) {
   // The plan cache's sites went with it: unknown names, like any other.
   EXPECT_FALSE(fault::arm_from_spec("alloc.plan:once"));
   EXPECT_FALSE(fault::arm_from_spec("plan_cache.insert:fail-after-0"));
+  // So did the steal site of the retired work-stealing deques.
+  EXPECT_FALSE(fault::arm_from_spec("threadpool.steal:once"));
   for (int i = 0; i < fault::kSiteCount; ++i)
     EXPECT_FALSE(fault::armed(static_cast<Site>(i)));
   // Valid entries before a malformed one still arm.
@@ -283,18 +287,34 @@ TEST_F(FaultTest, PackArenaFailureIsTransient) {
 // (b) Worker-spawn failure -> degraded thread count across the C ABI
 // ---------------------------------------------------------------------------
 
+/// A width of at least `min` that the global pool has never been asked
+/// for, so growing to it really spawns: the global pool grows in place,
+/// and a width it was asked for before (even by a growth that failed)
+/// spawns nothing until the kThreadPool probation. Heals the pool and
+/// the health registry first, so an earlier test in the same process
+/// can neither hide the spawn this test arms a fault for nor leave an
+/// elapsed cool-down whose passive probation re-grows the pool inside
+/// the very call under test.
+int unrequested_pool_width(int min) {
+  (void)ThreadPool::global(1).try_recover();
+  health::reset_for_testing();
+  return std::max(min, ThreadPool::global(1).max_threads() + 1);
+}
+
 TEST_F(FaultTest, SpawnFailureDegradesThreadsBitwise) {
   const index_t M = 256, N = 256, K = 64;
   testing::Problem<float> p({Trans::N, Trans::N}, M, N, K);
   Matrix<float> c_degraded = p.c;
+  const int threads = unrequested_pool_width(16);
 
-  // Degraded pass FIRST: every spawn fails, so the global pool comes up
-  // serial and the 16-task plan runs chunked on one thread. Must still
-  // return SHALOM_OK - no exception may cross the C ABI.
+  // Degraded pass FIRST: every spawn fails, so the global pool cannot
+  // grow and the plan's tasks run chunked over the narrower pool (one
+  // thread in a fresh process). Must still return SHALOM_OK - no
+  // exception may cross the C ABI.
   fault::arm(fault::Site::kThreadpoolSpawn, fault::Mode::kEveryN, 1);
   const int rc_degraded = shalom_sgemm(
       'N', 'N', M, N, K, 1.0f, p.a.data(), p.a.ld(), p.b.data(), p.b.ld(),
-      0.5f, c_degraded.data(), c_degraded.ld(), 16);
+      0.5f, c_degraded.data(), c_degraded.ld(), threads);
   fault::disarm_all();
   EXPECT_EQ(rc_degraded, SHALOM_OK);
 
@@ -302,12 +322,16 @@ TEST_F(FaultTest, SpawnFailureDegradesThreadsBitwise) {
   EXPECT_GT(s.threads_degraded, 0u);
   EXPECT_GT(s.faults_injected, 0u);
 
-  // Undegraded pass: the pool can now grow to the full 16 threads. The
-  // partition is part of the plan, so per-element arithmetic is
-  // identical and the results must match bitwise.
+  // Undegraded pass: heal the pool (what the kThreadPool probation does
+  // after its cool-down) so it runs at the full width. The partition is
+  // part of the plan, so per-element arithmetic is identical and the
+  // results must match bitwise.
+  ASSERT_TRUE(ThreadPool::global(1).try_recover());
+  health::reset_for_testing();
+  ASSERT_GE(ThreadPool::global(1).max_threads(), threads);
   const int rc_full = shalom_sgemm('N', 'N', M, N, K, 1.0f, p.a.data(),
                                    p.a.ld(), p.b.data(), p.b.ld(), 0.5f,
-                                   p.c.data(), p.c.ld(), 16);
+                                   p.c.data(), p.c.ld(), threads);
   EXPECT_EQ(rc_full, SHALOM_OK);
   expect_bitwise(c_degraded, p.c, "spawn-degraded vs full-width");
 }
@@ -327,9 +351,10 @@ TEST_F(FaultTest, PartialSpawnFailureKeepsEarlierWorkers) {
 }
 
 TEST_F(FaultTest, PoolRunChunksOverDegradedPool) {
+  const int tasks = unrequested_pool_width(12);
   fault::arm(fault::Site::kThreadpoolSpawn, fault::Mode::kEveryN, 1);
-  std::vector<std::atomic<int>> hits(12);
-  pool_run(12, [&](int id) {
+  std::vector<std::atomic<int>> hits(static_cast<std::size_t>(tasks));
+  pool_run(tasks, [&](int id) {
     hits[static_cast<std::size_t>(id)].fetch_add(1);
   });
   fault::disarm_all();
@@ -397,8 +422,9 @@ TEST_F(FaultTest, CStatsEveryCounterReachable) {
     fault::disarm_all();
   }
   // threads_degraded: every worker spawn fails.
+  const int tasks = unrequested_pool_width(4);
   fault::arm(fault::Site::kThreadpoolSpawn, fault::Mode::kEveryN, 1);
-  pool_run(4, [](int) {});
+  pool_run(tasks, [](int) {});
   fault::disarm_all();
 
   shalom_stats s;

@@ -6,7 +6,7 @@
 // -DSHALOM_SANITIZE=thread to have ThreadSanitizer check the same run
 // (scripts/tier1.sh does exactly that).
 //
-// The work-stealing ThreadPool overlaps fork-join rounds from independent
+// The fork-join ThreadPool overlaps rounds from independent
 // callers and is safe to drive from several threads concurrently (the
 // documented plan contract); the tests below exercise exactly that -
 // shared parallel plans executed from many threads at once, and racing
@@ -158,7 +158,7 @@ int count_mismatches(const testing::Problem<float>& p) {
 
 TEST(GemmStress, ConcurrentParallelPlanExecution) {
   // Many threads execute one shared threads>1 plan simultaneously: their
-  // fork-join rounds overlap on the work-stealing pool, and every
+  // fork-join rounds overlap on the shared pool, and every
   // execution must still produce the exact product (the documented plan
   // contract).
   const Mode mode{Trans::N, Trans::N};

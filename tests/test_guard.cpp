@@ -14,6 +14,7 @@
 // tests/CMakeLists.txt to cover the env-var path; run bare they skip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdlib>
@@ -263,9 +264,8 @@ TEST_F(GuardTest, WatchdogRecoversAWedgedWorker) {
   EXPECT_GE(robustness_stats().watchdog_trips, 1u);
 
   // The wedged worker never comes back, but a later round on the same
-  // pool still completes with every task intact: under the work-stealing
-  // scheduler the live workers absorb the missing worker's share (its
-  // queued hints are stealable, its unclaimed tasks redistributable), so
+  // pool still completes with every task intact: the live workers draw
+  // the missing worker's share from the round's shared task counter, so
   // a second trip is NOT required - only exactly-once execution is.
   std::atomic<int> again[4] = {{0}, {0}, {0}, {0}};
   pool.parallel_for(
@@ -314,14 +314,15 @@ TEST_F(GuardTest, ConfigAndPlanSnapshotTheWatchdogPeriod) {
 }
 
 TEST_F(GuardTest, RetiredPoolListStaysBounded) {
-  // An adversarial grow-loop must not accumulate retired pools without
-  // bound: each Handle acquisition reaps quiesced retirees past the
-  // registry cap (4; see core/threadpool.cpp).
-  for (int t = 2; t <= 20; ++t) {
-    ThreadPool::Handle handle(t);
-    EXPECT_GE(handle.pool().max_threads(), 1);
-  }
-  EXPECT_LE(ThreadPool::retired_pool_count_for_testing(), 4);
+  // An adversarial grow-loop must not accumulate pools: the global pool
+  // grows in place, so the loop leaves exactly one pool, as wide as the
+  // largest request. (The name is kept from the retired-pool registry
+  // this used to bound.)
+  const int before = ThreadPool::global(1).max_threads();
+  for (int t = 2; t <= 20; ++t)
+    EXPECT_GE(ThreadPool::global(t).max_threads(), 1);
+  EXPECT_EQ(&ThreadPool::global(2), &ThreadPool::global(20));
+  EXPECT_EQ(ThreadPool::global(1).max_threads(), std::max(before, 20));
 }
 
 // ---------------------------------------------------------------------------

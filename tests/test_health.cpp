@@ -449,6 +449,40 @@ TEST_F(HealthTest, PoolGlobalHookRunsProbation) {
   EXPECT_EQ(health::state(Component::kTunedTable), State::kDegraded);
 }
 
+// A spawn failure reported while another caller's kThreadPool probation
+// runs is dropped by the latch, and that probation can then end HEALTHY
+// over a narrow pool. Set that state up directly (narrow the global pool,
+// then reset the registry): pool_run must re-report the pool so its
+// probation still runs and spawns the missing workers.
+TEST_F(HealthTest, NarrowPoolReadingHealthyStillReachesProbation) {
+  if (!SHALOM_FAULT_INJECTION)
+    GTEST_SKIP() << "built without SHALOM_FAULT_INJECTION";
+  if (!health::recovery_enabled())
+    GTEST_SKIP() << "recovery disabled (SHALOM_RECOVERY_MS=0)";
+  ThreadPool& pool = ThreadPool::global(1);
+  ASSERT_TRUE(pool.try_recover());
+  const int wide = pool.max_threads() + 2;
+  fault::arm(fault::Site::kThreadpoolSpawn, fault::Mode::kEveryN, 1);
+  ThreadPool::global(wide);
+  fault::disarm_all();
+  ASSERT_LT(pool.max_threads(), wide);
+  health::reset_for_testing();
+  ASSERT_EQ(health::state(Component::kThreadPool), State::kHealthy);
+
+  std::atomic<int> ran{0};
+  pool_run(wide, [&ran](int) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), wide);
+  EXPECT_EQ(health::state(Component::kThreadPool), State::kDegraded)
+      << "the narrow path must report the narrowed pool";
+
+  health::expire_cooldowns();
+  ran.store(0);
+  pool_run(wide, [&ran](int) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), wide);
+  EXPECT_EQ(pool.max_threads(), wide) << "the probation re-spawned";
+  EXPECT_EQ(health::state(Component::kThreadPool), State::kHealthy);
+}
+
 // ---------------------------------------------------------------------------
 // Stream breaker recovery (half-open trials)
 // ---------------------------------------------------------------------------

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <set>
 #include <thread>
 
+#include "common/fault.h"
+#include "common/health.h"
 #include "core/parallel.h"
 #include "core/shalom.h"
 #include "core/threadpool.h"
@@ -96,6 +99,73 @@ TEST(ThreadPool, GlobalGrowsOnDemand) {
   EXPECT_GE(a.max_threads(), 2);
   ThreadPool& b = ThreadPool::global(4);
   EXPECT_GE(b.max_threads(), 4);
+  EXPECT_EQ(&a, &b) << "the global pool grows in place";
+}
+
+// A growth whose spawns fail narrows the pool once; later calls at the
+// same width must not spawn again (only the kThreadPool probation does),
+// and every call still runs each task exactly once on the narrow pool.
+TEST(ThreadPool, FailedGrowthIsNotRetriedPerCall) {
+  if (!SHALOM_FAULT_INJECTION)
+    GTEST_SKIP() << "built without SHALOM_FAULT_INJECTION";
+  // Wider than anything this process has requested: the global pool is
+  // healthy between tests, so its live width is its widest request. A
+  // fresh registry keeps an old, elapsed cool-down from re-growing the
+  // pool through probation inside the calls under test.
+  health::reset_for_testing();
+  const int wide = ThreadPool::global(1).max_threads() + 3;
+  fault::arm(fault::Site::kThreadpoolSpawn, fault::Mode::kEveryN, 1);
+  std::uint64_t injected[3];
+  injected[0] = fault::injected(fault::Site::kThreadpoolSpawn);
+  for (int call = 1; call <= 2; ++call) {
+    std::vector<std::atomic<int>> counts(static_cast<std::size_t>(wide));
+    pool_run(wide, [&](int id) {
+      counts[static_cast<std::size_t>(id)].fetch_add(1);
+    });
+    for (int id = 0; id < wide; ++id)
+      EXPECT_EQ(counts[static_cast<std::size_t>(id)].load(), 1)
+          << "call " << call << " task " << id;
+    injected[call] = fault::injected(fault::Site::kThreadpoolSpawn);
+  }
+  fault::disarm_all();
+  EXPECT_GT(injected[1], injected[0]) << "the first call tries to grow";
+  EXPECT_EQ(injected[2], injected[1]) << "the second call must not respawn";
+  // Leave the global pool healthy for the rest of the process.
+  EXPECT_TRUE(ThreadPool::global(1).try_recover());
+  EXPECT_EQ(ThreadPool::global(1).max_threads(), wide);
+  health::reset_for_testing();
+}
+
+// Growth spawns workers into the pool that live rounds are running on:
+// callers looping 2-task rounds while another thread widens the global
+// pool must see every task run exactly once.
+TEST(ThreadPool, GrowthRacesLiveRounds) {
+  ThreadPool::global(2);
+  std::atomic<int> bad{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    callers.emplace_back([&] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (int round = 0; round < 200; ++round) {
+        std::atomic<int> counts[2] = {{0}, {0}};
+        pool_run(2, [&](int id) {
+          counts[id].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (auto& n : counts)
+          if (n.load(std::memory_order_relaxed) != 1)
+            bad.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  std::thread grower([&] {
+    go.store(true, std::memory_order_release);
+    for (int w = 2; w <= 8; ++w) ThreadPool::global(w);
+  });
+  grower.join();
+  for (auto& t : callers) t.join();
+  EXPECT_EQ(bad.load(), 0) << "a task was lost or ran twice";
+  EXPECT_GE(ThreadPool::global(1).max_threads(), 8);
 }
 
 // Regression for the documented contract: tasks must lie in
