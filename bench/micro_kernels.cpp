@@ -1,6 +1,7 @@
 // Google-benchmark micro-benchmarks for the kernel layer: main
-// micro-kernel variants, the fused packing kernels and the standalone
-// packing routines, on L1/L2-resident data.
+// micro-kernel variants (full tiles and N-remainder tails), the fused
+// packing kernels and the standalone packing routines, on L1/L2-resident
+// data.
 //
 // These are developer-facing (regression tracking for the kernel
 // schedules); the paper figures come from the fig* binaries.
@@ -34,6 +35,48 @@ void bm_main_kernel(benchmark::State& state) {
   state.counters["GFLOPS"] = benchmark::Counter(
       2.0 * 7 * 12 * kc * state.iterations() / 1e9,
       benchmark::Counter::kIsRate);
+}
+
+/// The widest main-kernel tile for T: the n_eff = nr case of bm_main_tail.
+template <typename T>
+constexpr int kTailNr = ukr::kMaxNrv * simd::vec_of_t<T>::kLanes;
+
+/// kern_main NN (direct A, direct B) on an mr x n_eff tile. n_eff = nr is
+/// the full tile; smaller widths run the N-remainder variants, whose last
+/// B-row vector and C vector are partial loads and stores. The per-call
+/// time at n_eff = nr - 1 over the time at n_eff = nr is the edge-tile
+/// slowdown the paper's Section 5.4 edge handling keeps near 1.
+template <typename T>
+void bm_main_tail(benchmark::State& state) {
+  constexpr int nr = kTailNr<T>;
+  const index_t kc = state.range(0);
+  const int n_eff = static_cast<int>(state.range(1));
+  Matrix<T> a(ukr::kMaxMr, kc);
+  Matrix<T> b(kc, nr);
+  Matrix<T> c(ukr::kMaxMr, nr);
+  fill_random(a, 1);
+  fill_random(b, 2);
+  fill_random(c, 3);
+  for (auto _ : state) {
+    ukr::run_main_tile<T, ukr::AAccess::kDirect, ukr::BAccess::kDirect>(
+        ukr::kMaxMr, n_eff, kc, a.data(), a.ld(), b.data(), b.ld(),
+        c.data(), c.ld(), T(1), T(1));
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      2.0 * ukr::kMaxMr * n_eff * kc * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+/// n_eff = nr, nr-1, nr-2, nr-3 and 1, from the same tile width that sizes
+/// bm_main_tail's operands.
+template <typename T>
+void tail_args(benchmark::internal::Benchmark* b) {
+  constexpr int nr = kTailNr<T>;
+  static_assert(nr > 3, "the tail list needs nr - 3 >= 1");
+  b->ArgNames({"kc", "n_eff"});
+  for (const int n_eff : {nr, nr - 1, nr - 2, nr - 3, 1}) b->Args({kKc, n_eff});
 }
 
 void bm_fused_pack_nn(benchmark::State& state) {
@@ -97,6 +140,8 @@ BENCHMARK(bm_main_kernel<ukr::AAccess::kDirect, ukr::BAccess::kDirect>)
     ->Arg(kKc);
 BENCHMARK(bm_main_kernel<ukr::AAccess::kPacked, ukr::BAccess::kPacked>)
     ->Arg(kKc);
+BENCHMARK(bm_main_tail<float>)->Apply(tail_args<float>);
+BENCHMARK(bm_main_tail<double>)->Apply(tail_args<double>);
 BENCHMARK(bm_fused_pack_nn)->Arg(kKc);
 BENCHMARK(bm_fused_pack_nt)->Arg(kKc);
 BENCHMARK(bm_pack_b_n)->Arg(kKc);

@@ -21,6 +21,15 @@ cmake -B build -S .
 cmake --build build -j "${JOBS}"
 SHALOM_SELFTEST=1 ctest --test-dir build --output-on-failure -j "${JOBS}"
 
+echo "=== tier1: guard, fault and health suites twice in one process ==="
+# Each test must leave the process-wide health registry, the global pool
+# and the fault sites as it found them (or heal them before it relies on
+# them): a second pass in the same process fails on any state the first
+# one leaked, e.g. a pool left degraded by a watchdog trip.
+for suite in test_guard test_fault test_health; do
+  "./build/tests/${suite}" --gtest_repeat=2 --gtest_brief=1
+done
+
 echo "=== tier1: static verification (shalom_lint + clang-tidy + TSA) ==="
 # shalom_lint is self-contained C++17 and gates tier-1 unconditionally:
 # zero findings allowed over the library, benchmark AND tool sources
@@ -105,6 +114,21 @@ echo "=== tier1: recovery chaos (degrade under an ambient storm, then heal) ==="
 # end-to-end pass.
 SHALOM_FAULT=selfcheck.probe:every-3,threadpool.spawn:every-4,submit.queue:every-5 \
   ctest --test-dir build --output-on-failure -j "${JOBS}" -R RecoveryChaos
+
+echo "=== tier1: AVX2 build without AVX-512 (-march=haswell) ==="
+# The SIMD layer picks its partial loads and stores at compile time from
+# the ISA macros. On an AVX-512 host the native build compiles only the
+# masked-move branch; this build compiles and runs the VMASKMOVPS
+# branches (128- and 256-bit) under the kernel, wide-vector, property and
+# fuzz suites. (The NEON branch needs an AArch64 toolchain.)
+cmake -B build-hsw -S . \
+      -DSHALOM_NATIVE=OFF \
+      -DCMAKE_CXX_FLAGS=-march=haswell \
+      -DSHALOM_BUILD_BENCH=OFF \
+      -DSHALOM_BUILD_EXAMPLES=OFF
+cmake --build build-hsw -j "${JOBS}"
+ctest --test-dir build-hsw --output-on-failure -j "${JOBS}" \
+      -R 'Simd|Micro|Wide|Correct|Property|fuzz'
 
 echo "=== tier1: ASan build, fault + stress + fuzz labels ==="
 cmake -B build-asan -S . \

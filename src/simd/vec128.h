@@ -18,6 +18,21 @@
 // All functions are force-inlined wrappers; at -O3 each maps to a single
 // instruction (plus a shuffle for lane broadcast on SSE, which NEON encodes
 // inside FMLA).
+//
+// Partial access (load_partial / store_partial, the N-remainder tiles of
+// paper Section 5.4): `count` is in [1, kLanes). Exactly the lanes below
+// `count` are read or written; lanes from `count` up are never touched in
+// memory, so an operand may end exactly at an unmapped page, and a partial
+// load zero-fills them in the register. Per backend, chosen at compile
+// time:
+//   * x86 f32   - with AVX-512VL one masked MOVUPS, mask (1 << count) - 1;
+//                 otherwise one VMASKMOVPS (the SSE backend already needs
+//                 FMA, hence AVX). Masked-off lanes never fault in either.
+//   * x86 f64   - MOVSD: with two lanes `count` is always 1.
+//   * NEON      - per-lane LD1/ST1 {Vt.S}[lane].
+//   * scalar    - element copies through a lane array on the stack.
+// The loaded values equal the plain element loads bit for bit, so the
+// partial path changes no result.
 #pragma once
 
 #include <cstddef>
@@ -177,18 +192,48 @@ SHALOM_INLINE float extract(f32x4 a, int lane) {
 #endif
 }
 
+#if defined(SHALOM_SIMD_SSE) && !defined(__AVX512VL__)
+/// VMASKMOVPS lane mask: the sign bit set in int32 lanes [0, count), clear
+/// in the rest (all clear for count <= 0).
+SHALOM_INLINE __m128i lane_mask4(int count) {
+  return _mm_cmpgt_epi32(_mm_set1_epi32(count), _mm_setr_epi32(0, 1, 2, 3));
+}
+#endif
+
 /// Loads `count` (1..3) lanes, zero-filling the rest: edge-column loads.
+/// Reads p[0, count) only (see the partial-access contract above).
 SHALOM_INLINE f32x4 load_partial(const float* p, int count) {
+#if defined(SHALOM_SIMD_NEON)
+  float32x4_t v = vld1q_lane_f32(p, vdupq_n_f32(0.f), 0);
+  if (count > 1) v = vld1q_lane_f32(p + 1, v, 1);
+  if (count > 2) v = vld1q_lane_f32(p + 2, v, 2);
+  return {v};
+#elif defined(SHALOM_SIMD_SSE) && defined(__AVX512VL__)
+  return {_mm_maskz_loadu_ps(static_cast<__mmask8>((1u << count) - 1), p)};
+#elif defined(SHALOM_SIMD_SSE)
+  return {_mm_maskload_ps(p, lane_mask4(count))};
+#else
   float tmp[4] = {0.f, 0.f, 0.f, 0.f};
   for (int i = 0; i < count; ++i) tmp[i] = p[i];
   return load(tmp);
+#endif
 }
 
-/// Stores the low `count` (1..3) lanes.
+/// Stores the low `count` (1..3) lanes; writes p[0, count) only.
 SHALOM_INLINE void store_partial(float* p, f32x4 x, int count) {
+#if defined(SHALOM_SIMD_NEON)
+  vst1q_lane_f32(p, x.v, 0);
+  if (count > 1) vst1q_lane_f32(p + 1, x.v, 1);
+  if (count > 2) vst1q_lane_f32(p + 2, x.v, 2);
+#elif defined(SHALOM_SIMD_SSE) && defined(__AVX512VL__)
+  _mm_mask_storeu_ps(p, static_cast<__mmask8>((1u << count) - 1), x.v);
+#elif defined(SHALOM_SIMD_SSE)
+  _mm_maskstore_ps(p, lane_mask4(count), x.v);
+#else
   float tmp[4];
   store(tmp, x);
   for (int i = 0; i < count; ++i) p[i] = tmp[i];
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -321,16 +366,34 @@ SHALOM_INLINE double extract(f64x2 a, int lane) {
 #endif
 }
 
+/// Loads lane 0 (`count` is always 1 for two lanes), zero-filling lane 1.
 SHALOM_INLINE f64x2 load_partial(const double* p, int count) {
+#if defined(SHALOM_SIMD_NEON)
+  (void)count;
+  return {vld1q_lane_f64(p, vdupq_n_f64(0.0), 0)};
+#elif defined(SHALOM_SIMD_SSE)
+  (void)count;
+  return {_mm_load_sd(p)};
+#else
   double tmp[2] = {0.0, 0.0};
   for (int i = 0; i < count; ++i) tmp[i] = p[i];
   return load(tmp);
+#endif
 }
 
+/// Stores lane 0 (`count` is always 1); writes p[0] only.
 SHALOM_INLINE void store_partial(double* p, f64x2 x, int count) {
+#if defined(SHALOM_SIMD_NEON)
+  (void)count;
+  vst1q_lane_f64(p, x.v, 0);
+#elif defined(SHALOM_SIMD_SSE)
+  (void)count;
+  _mm_store_sd(p, x.v);
+#else
   double tmp[2];
   store(tmp, x);
   for (int i = 0; i < count; ++i) p[i] = tmp[i];
+#endif
 }
 
 /// In-register 4x4 transpose: on exit, a holds the original lane-0s,

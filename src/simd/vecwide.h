@@ -15,6 +15,13 @@
 // (src/core/widegemm.h) consumes these through the same concepts the
 // 128-bit kernels use, with (mr, nr) re-derived by the unchanged analytic
 // model - exactly the porting recipe Section 5.5 describes.
+//
+// The partial loads and stores keep vec128.h's contract: exactly the lanes
+// below `count` (1..kLanes-1) are read or written, and lanes from `count`
+// up are zero-filled in the register and never touched in memory. AVX-512
+// uses one masked MOVUPS (AVX-512VL for 256 bits), AVX2 a VMASKMOVPS on
+// vec128.h's lane mask, whose masked-off lanes never fault; the emulated
+// widths copy through a lane array on the stack.
 #pragma once
 
 #include "simd/vec128.h"
@@ -86,16 +93,35 @@ SHALOM_INLINE float extract8(f32x8 a, int lane) {
 #endif
 }
 
+#if defined(SHALOM_SIMD_SSE) && defined(__AVX2__) && !defined(__AVX512VL__)
+/// VMASKMOVPS lane mask for eight lanes: vec128.h's lane_mask4 per half.
+SHALOM_INLINE __m256i lane_mask8(int count) {
+  return _mm256_set_m128i(lane_mask4(count - 4), lane_mask4(count));
+}
+#endif
+
 SHALOM_INLINE f32x8 load8_partial(const float* p, int count) {
+#if defined(SHALOM_SIMD_SSE) && defined(__AVX512VL__)
+  return {_mm256_maskz_loadu_ps(static_cast<__mmask8>((1u << count) - 1), p)};
+#elif defined(SHALOM_SIMD_SSE) && defined(__AVX2__)
+  return {_mm256_maskload_ps(p, lane_mask8(count))};
+#else
   float tmp[8] = {};
   for (int i = 0; i < count; ++i) tmp[i] = p[i];
   return load8(tmp);
+#endif
 }
 
 SHALOM_INLINE void store8_partial(float* p, f32x8 x, int count) {
+#if defined(SHALOM_SIMD_SSE) && defined(__AVX512VL__)
+  _mm256_mask_storeu_ps(p, static_cast<__mmask8>((1u << count) - 1), x.v);
+#elif defined(SHALOM_SIMD_SSE) && defined(__AVX2__)
+  _mm256_maskstore_ps(p, lane_mask8(count), x.v);
+#else
   float tmp[8];
   store8(tmp, x);
   for (int i = 0; i < count; ++i) p[i] = tmp[i];
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -164,15 +190,23 @@ SHALOM_INLINE float extract16(f32x16 a, int lane) {
 }
 
 SHALOM_INLINE f32x16 load16_partial(const float* p, int count) {
+#if defined(SHALOM_SIMD_SSE) && defined(__AVX512F__)
+  return {_mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << count) - 1), p)};
+#else
   float tmp[16] = {};
   for (int i = 0; i < count; ++i) tmp[i] = p[i];
   return load16(tmp);
+#endif
 }
 
 SHALOM_INLINE void store16_partial(float* p, f32x16 x, int count) {
+#if defined(SHALOM_SIMD_SSE) && defined(__AVX512F__)
+  _mm512_mask_storeu_ps(p, static_cast<__mmask16>((1u << count) - 1), x.v);
+#else
   float tmp[16];
   store16(tmp, x);
   for (int i = 0; i < count; ++i) p[i] = tmp[i];
+#endif
 }
 
 // ---------------------------------------------------------------------------

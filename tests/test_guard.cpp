@@ -26,6 +26,7 @@
 #include "common/error.h"
 #include "common/fault.h"
 #include "common/guard.h"
+#include "common/health.h"
 #include "common/selfcheck.h"
 #include "core/plan.h"
 #include "core/shalom.h"
@@ -286,6 +287,14 @@ TEST_F(GuardTest, WatchdogTripDuringParallelGemmKeepsResultsCorrect) {
   Config cfg;  // snapshots watchdog_ms = 200 from the override
   cfg.threads = 3;
   ASSERT_EQ(cfg.watchdog_ms, 200);
+
+  // Heal the global pool first: an earlier trip in this process (another
+  // test, or this one under --gtest_repeat) leaves it degraded with the
+  // kThreadPool cool-down pending, so pool_run would go serial and the
+  // armed wedge would never trip.
+  ASSERT_TRUE(ThreadPool::global(1).try_recover());
+  health::reset_for_testing();
+  ASSERT_FALSE(ThreadPool::global(1).degraded());
 
   // Wedge one global-pool worker; whichever round it hits (the plan
   // warm-up or the execution), the watchdog must recover it and the

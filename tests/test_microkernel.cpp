@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "core/dispatch.h"
 #include "core/pack.h"
+#include "tests/guard_page.h"
 
 namespace shalom::ukr {
 namespace {
@@ -341,6 +342,68 @@ TEST(FusedPackTN, ComputesAndPacksAc) {
             << "k=" << k << " i=" << i;
   }
 }
+
+// N-remainder tiles whose operands end exactly at a PROT_NONE page: the
+// last B row and the last C row of every NTail width reach the guard with
+// their last real element, so a partial load or store touching a lane past
+// the edge faults. ASan does not instrument the masked intrinsics behind
+// load_partial / store_partial; this test is the out-of-bounds evidence
+// for kern_main (direct B), kern_fused_pack_nn, and the TN path's partial
+// column load (m < lanes, transposed A ending at the guard).
+template <typename T>
+void check_tails_at_guard_page() {
+  constexpr int L = simd::vec_of_t<T>::kLanes;
+  const int nr_full = kMaxNrv * L;
+  Matrix<T> a(kMaxMr, kKc);
+  fill_random(a, 71);
+  testing::GuardedPages b_page, c_page, at_page;
+  const double tol = std::is_same_v<T, float> ? 1e-4 : 1e-12;
+
+  for (int n = 1; n < nr_full; ++n) {
+    if (n % L == 0) continue;  // full-vector widths have no partial access
+    T* b = b_page.ending_at_guard<T>(kKc * n);  // ldb = n: B ends at guard
+    for (index_t i = 0; i < kKc * n; ++i) b[i] = T((i * 7) % 13) / T(8);
+    for (T beta : {T{0}, T(0.5)}) {
+      for (int kind = 0; kind < 3; ++kind) {
+        const int m = kind == 2 ? L - 1 : kMaxMr;
+        T* c = c_page.ending_at_guard<T>(m * n);  // ldc = n
+        Matrix<T> c_ref(m, n);
+        for (int i = 0; i < m; ++i)
+          for (int j = 0; j < n; ++j)
+            c_ref(i, j) = c[i * n + j] = T(i - j) / T(4);
+        if (kind == 0) {
+          run_main_tile<T, AAccess::kDirect, BAccess::kDirect>(
+              m, n, kKc, a.data(), a.ld(), b, n, c, n, T(1.25), beta);
+          tile_oracle<T>(AAccess::kDirect, m, n, kKc, a.data(), a.ld(), b,
+                         n, T(1.25), beta, c_ref);
+        } else if (kind == 1) {
+          std::vector<T> bc(nr_full * kKc + kPackSlackElems);
+          run_fused_pack_nn<T>(/*pack_cur=*/true, /*ahead=*/false, n, kKc,
+                               a.data(), a.ld(), b, n, bc.data(), nullptr,
+                               0, nullptr, c, n, T(1.25), beta);
+          tile_oracle<T>(AAccess::kDirect, m, n, kKc, a.data(), a.ld(), b,
+                         n, T(1.25), beta, c_ref);
+        } else {
+          T* at = at_page.ending_at_guard<T>(kKc * m);  // K x m, lda = m
+          for (index_t k = 0; k < kKc; ++k)
+            for (int i = 0; i < m; ++i) at[k * m + i] = a(i, k);
+          run_main_tile<T, AAccess::kDirectTrans, BAccess::kDirect>(
+              m, n, kKc, at, m, b, n, c, n, T(1.25), beta);
+          tile_oracle<T>(AAccess::kPacked, m, n, kKc, at, m, b, n, T(1.25),
+                         beta, c_ref);
+        }
+        for (int i = 0; i < m; ++i)
+          for (int j = 0; j < n; ++j)
+            ASSERT_NEAR(c[i * n + j], c_ref(i, j), tol)
+                << "kind=" << kind << " n=" << n << " beta=" << beta
+                << " at (" << i << "," << j << ")";
+      }
+    }
+  }
+}
+
+TEST(MainKernel, F32TailsAtGuardPage) { check_tails_at_guard_page<float>(); }
+TEST(MainKernel, F64TailsAtGuardPage) { check_tails_at_guard_page<double>(); }
 
 TEST(ScalarKernel, MatchesOracle) {
   KernelFixture<float> fx;

@@ -1,12 +1,15 @@
 // Unit tests for the 128-bit SIMD layer: every operation is checked
 // against scalar arithmetic, including all lane indices of the
-// lane-broadcast FMA that the micro-kernels are built on.
+// lane-broadcast FMA that the micro-kernels are built on, plus the
+// partial-access contract of every vector width against a guard page.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 
 #include "simd/vec128.h"
+#include "simd/vecwide.h"
+#include "tests/guard_page.h"
 
 namespace shalom::simd {
 namespace {
@@ -121,6 +124,69 @@ TEST(SimdF64, ReduceAndPartials) {
   store_partial(dst, v, 1);
   EXPECT_EQ(dst[0], 42.0);
   EXPECT_EQ(dst[1], -1.0);
+}
+
+// Partial access against a guard page, for every count in [1, Lanes).
+// The `count` real elements end at the PROT_NONE boundary, so reading or
+// writing any lane from `count` up faults instead of passing silently.
+// load_partial must zero-fill those lanes; store_partial must write the
+// low lanes only (also checked with a sentinel tail inside the page).
+template <typename T, int Lanes, class Load, class Store, class Bcast,
+          class Lane>
+void check_partials_at_guard_page(Load load_p, Store store_p, Bcast bcast,
+                                  Lane lane) {
+  testing::GuardedPages pages;
+  for (int count = 1; count < Lanes; ++count) {
+    T* p = pages.ending_at_guard<T>(count);
+    for (int i = 0; i < count; ++i) p[i] = T(i + 1) * T(1.5);
+    const auto v = load_p(p, count);
+    for (int i = 0; i < Lanes; ++i)
+      EXPECT_EQ(lane(v, i), i < count ? T(i + 1) * T(1.5) : T{0})
+          << "load count=" << count << " lane " << i;
+
+    store_p(p, bcast(T(-7)), count);
+    for (int i = 0; i < count; ++i)
+      EXPECT_EQ(p[i], T(-7)) << "store count=" << count << " lane " << i;
+
+    T* q = pages.ending_at_guard<T>(Lanes);
+    for (int i = 0; i < Lanes; ++i) q[i] = T(99);
+    store_p(q, bcast(T(-7)), count);
+    for (int i = 0; i < Lanes; ++i)
+      EXPECT_EQ(q[i], i < count ? T(-7) : T(99))
+          << "sentinel count=" << count << " lane " << i;
+  }
+}
+
+TEST(SimdGuardPage, F32x4Partials) {
+  check_partials_at_guard_page<float, 4>(
+      [](const float* p, int c) { return load_partial(p, c); },
+      [](float* p, f32x4 x, int c) { store_partial(p, x, c); },
+      [](float x) { return broadcast(x); },
+      [](f32x4 v, int i) { return extract(v, i); });
+}
+
+TEST(SimdGuardPage, F64x2Partials) {
+  check_partials_at_guard_page<double, 2>(
+      [](const double* p, int c) { return load_partial(p, c); },
+      [](double* p, f64x2 x, int c) { store_partial(p, x, c); },
+      [](double x) { return broadcast(x); },
+      [](f64x2 v, int i) { return extract(v, i); });
+}
+
+TEST(SimdGuardPage, F32x8Partials) {
+  check_partials_at_guard_page<float, 8>(
+      [](const float* p, int c) { return load8_partial(p, c); },
+      [](float* p, f32x8 x, int c) { store8_partial(p, x, c); },
+      [](float x) { return broadcast8(x); },
+      [](f32x8 v, int i) { return extract8(v, i); });
+}
+
+TEST(SimdGuardPage, F32x16Partials) {
+  check_partials_at_guard_page<float, 16>(
+      [](const float* p, int c) { return load16_partial(p, c); },
+      [](float* p, f32x16 x, int c) { store16_partial(p, x, c); },
+      [](float x) { return broadcast16(x); },
+      [](f32x16 v, int i) { return extract16(v, i); });
 }
 
 TEST(Simd, VecOfSelectsWidth) {
