@@ -1,5 +1,6 @@
 #include "common/error.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -115,6 +116,15 @@ void warn_malformed(const char* name, const char* value,
 }
 
 const char* raw(const char* name) noexcept { return std::getenv(name); }
+
+bool ieq(const char* value, const char* keyword) noexcept {
+  for (; *value != '\0' && *keyword != '\0'; ++value, ++keyword) {
+    if (std::tolower(static_cast<unsigned char>(*value)) !=
+        std::tolower(static_cast<unsigned char>(*keyword)))
+      return false;
+  }
+  return *value == *keyword;
+}
 
 long get_long(const char* name, long fallback, long lo, long hi) noexcept {
   const char* value = raw(name);

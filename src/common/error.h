@@ -160,6 +160,11 @@ long get_long(const char* name, long fallback, long lo, long hi) noexcept;
 int get_enum(const char* name, int fallback, const char* const* names,
              int count) noexcept;
 
+/// Case-insensitive ASCII equality, for keyword-valued SHALOM_* variables
+/// that accept any case (SHALOM_SELFTEST, SHALOM_CHECK_NUMERICS,
+/// SHALOM_GUARD).
+bool ieq(const char* value, const char* keyword) noexcept;
+
 /// Raw environment lookup (nullptr when unset). The single point every
 /// SHALOM_* read funnels through (enforced by tools/shalom_lint's
 /// env-access rule): callers with keyword or grammar semantics parse the

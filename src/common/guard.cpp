@@ -1,7 +1,6 @@
 #include "common/guard.h"
 
 #include <atomic>
-#include <cctype>
 #include <cstring>
 
 #include "common/error.h"
@@ -71,22 +70,12 @@ void trap_handler(int sig) {
 
 #endif  // SHALOM_GUARD_POSIX && !SHALOM_GUARD_NO_TRAPS
 
-/// Case-insensitive keyword compare for SHALOM_GUARD parsing.
-bool ieq(const char* value, const char* keyword) noexcept {
-  for (; *value != '\0' && *keyword != '\0'; ++value, ++keyword) {
-    if (std::tolower(static_cast<unsigned char>(*value)) !=
-        std::tolower(static_cast<unsigned char>(*keyword)))
-      return false;
-  }
-  return *value == '\0' && *keyword == '\0';
-}
-
 ArenaMode parse_arena_mode_env() noexcept {
   const char* value = env::raw("SHALOM_GUARD");
   if (value == nullptr || *value == '\0') return ArenaMode::kOff;
-  if (ieq(value, "off")) return ArenaMode::kOff;
-  if (ieq(value, "canary")) return ArenaMode::kCanary;
-  if (ieq(value, "poison")) return ArenaMode::kPoison;
+  if (env::ieq(value, "off")) return ArenaMode::kOff;
+  if (env::ieq(value, "canary")) return ArenaMode::kCanary;
+  if (env::ieq(value, "poison")) return ArenaMode::kPoison;
   env::warn_malformed("SHALOM_GUARD", value, "off|canary|poison");
   return ArenaMode::kOff;
 }

@@ -1,12 +1,15 @@
 // Kernel self-verification probes (see selfcheck.h for the contract).
 //
-// Each probe exercises one kernel family on small deterministic inputs
-// laid out exactly as the dispatch layer lays them out (direct storage
-// with sentinel-filled padding that must never be read, packed slivers
-// with the zero-padding the layout contract requires, NaN-filled C with
-// beta == 0 to prove the kernel never reads C), and compares against a
-// high-precision scalar reference. Padding/canary violations fail the
-// probe just like wrong arithmetic: an out-of-bounds kernel is as
+// One harness, run_cases(), probes every kernel family through its kind's
+// row of the case table and its runner (selfcheck_probe.h). Each case is a
+// small deterministic tile laid out as the dispatch layer lays it out:
+// direct operands in place with sentinel padding that must never be read,
+// packed slivers with the zero-padding and tail slack the layout contract
+// requires, transposed operands in place, and C sentinel-filled around the
+// tile and NaN-filled when beta == 0 (the kernel must not read it). C must
+// match an independent double-precision dot product of the same operands,
+// and a fused kernel's packed side-output (Bc, Ac and its tail slack, the
+// scattered B^T) must match bitwise. An out-of-bounds kernel is as
 // disqualified as an inaccurate one.
 //
 // Layering note: this file lives in shalom_common, which does NOT link
@@ -20,11 +23,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -32,50 +33,13 @@
 #include "common/fault.h"
 #include "common/guard.h"
 #include "common/rng.h"
+#include "common/selfcheck_probe.h"
 #include "core/dispatch.h"
-#include "core/widegemm.h"
 
 namespace shalom {
-
-namespace {
-
-/// Case-insensitive ASCII string equality for env-value keywords.
-bool env_ieq(const char* a, const char* b) noexcept {
-  for (; *a != '\0' && *b != '\0'; ++a, ++b) {
-    if (std::tolower(static_cast<unsigned char>(*a)) !=
-        std::tolower(static_cast<unsigned char>(*b)))
-      return false;
-  }
-  return *a == *b;
-}
-
-}  // namespace
-
 namespace selfcheck {
+namespace probe {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Deterministic probe data
-// ---------------------------------------------------------------------------
-
-template <typename T>
-struct ProbeEps;
-template <>
-struct ProbeEps<float> {
-  static constexpr double value = 1e-6;
-};
-template <>
-struct ProbeEps<double> {
-  static constexpr double value = 1e-14;
-};
-
-/// Absolute tolerance for probe values in [-1, 1): generous enough for
-/// any FMA/reassociation scheme, tight enough that a wrong lane mapping
-/// (the realistic miscompile) fails by orders of magnitude.
-template <typename T>
-double probe_tol(index_t kc) {
-  return (static_cast<double>(kc) + 16.0) * 8.0 * ProbeEps<T>::value;
-}
 
 /// Deterministic pseudo-random value in [-1, 1); every (salt, i, j) maps
 /// to one fixed bit pattern so failures reproduce across runs and threads.
@@ -87,476 +51,215 @@ T pv(std::uint64_t salt, index_t i, index_t j) {
   return static_cast<T>(rng.next_unit() * 2.0 - 1.0);
 }
 
+/// Salts of the seeded operands A(i, k), B(k, j) and the initial C(i, j).
+/// Columns nr.. of B are the next sliver a pack-ahead kernel copies.
+enum : std::uint64_t { kSeedA = 1, kSeedB = 2, kSeedC = 3 };
+
 /// Fills slots a correct kernel must never read or write; exactly
 /// representable in float so canary comparisons are bitwise.
 template <typename T>
 constexpr T kSentinel = static_cast<T>(1048576);
 
-struct AlphaBeta {
-  double alpha;
-  double beta;
-  bool nan_c;  // pre-fill the C tile with NaN (only valid when beta == 0)
-};
+/// Lays out rows 0..m-1 of the seeded A as `acc` reads it; returns lda.
+template <typename T>
+index_t lay_a(Access acc, int mr, int m, index_t kc, std::vector<T>& buf) {
+  if (acc == Access::kDirect) {
+    // Row-major in place; the ld padding is sentinel (never read).
+    const index_t lda = kc + 2;
+    buf.assign(static_cast<std::size_t>(m * lda), kSentinel<T>);
+    for (int i = 0; i < m; ++i)
+      for (index_t k = 0; k < kc; ++k) buf[i * lda + k] = pv<T>(kSeedA, i, k);
+    return lda;
+  }
+  // Contiguous columns: a packed sliver of stride mr whose rows past m are
+  // zero BY CONTRACT (the packer writes them) plus tail slack, or
+  // transposed storage in place with a sentinel slot at row mr.
+  const bool packed = acc == Access::kPacked;
+  const index_t lda = packed ? mr : mr + 1;
+  buf.assign(static_cast<std::size_t>(
+                 kc * lda + (packed ? ukr::kPackSlackElems : 0)),
+             packed ? T{0} : kSentinel<T>);
+  for (index_t k = 0; k < kc; ++k)
+    for (int i = 0; i < m; ++i) buf[k * lda + i] = pv<T>(kSeedA, i, k);
+  return lda;
+}
 
-/// Verifies a probed C buffer: the m_eff x n_eff tile matches `ref(i, j)`
-/// within `tol`, every other slot (column padding, untouched rows) still
-/// holds the sentinel canary.
+/// Lays out columns 0..n-1 of the seeded B as `acc` reads it, plus, for a
+/// pack-ahead tile, the next full sliver at column nr; returns ldb.
+template <typename T>
+index_t lay_b(Access acc, int nr, int n, bool ahead, index_t kc,
+              std::vector<T>& buf) {
+  if (acc == Access::kTrans) {
+    // Transposed in place: op(B)(k, j) lives at buf[j*ldb + k].
+    const index_t ldb = kc + 1;
+    buf.assign(static_cast<std::size_t>(n * ldb), kSentinel<T>);
+    for (int j = 0; j < n; ++j)
+      for (index_t k = 0; k < kc; ++k) buf[j * ldb + k] = pv<T>(kSeedB, k, j);
+    return ldb;
+  }
+  // Rows: a packed sliver of stride nr, zero-padded past the edge, or in
+  // place with room for the next sliver and sentinel everywhere else.
+  const bool packed = acc == Access::kPacked;
+  const index_t ldb = packed ? nr : 2 * nr + 1;
+  buf.assign(static_cast<std::size_t>(
+                 kc * ldb + (packed ? ukr::kPackSlackElems : 0)),
+             packed ? T{0} : kSentinel<T>);
+  for (index_t k = 0; k < kc; ++k)
+    for (int j = 0; j < (ahead ? 2 * nr : n); ++j)
+      if (j < n || j >= nr) buf[k * ldb + j] = pv<T>(kSeedB, k, j);
+  return ldb;
+}
+
+/// True when the m_eff x n_eff tile of C matches `ref(i, j)` within `tol`
+/// and every other slot (column padding, untouched rows) holds the canary.
 template <typename T, typename RefFn>
 bool check_c(const std::vector<T>& c, index_t ldc, int rows_alloc, int m_eff,
              int n_eff, double tol, RefFn ref) {
-  for (int i = 0; i < rows_alloc; ++i) {
-    for (index_t j = 0; j < ldc; ++j) {
-      const T got = c[static_cast<std::size_t>(i) * ldc + j];
-      if (i < m_eff && j < n_eff) {
-        const double g = static_cast<double>(got);
-        if (!std::isfinite(g) ||
-            std::abs(g - ref(i, static_cast<int>(j))) > tol)
-          return false;
-      } else if (got != kSentinel<T>) {
+  for (int i = 0; i < rows_alloc; ++i)
+    for (int j = 0; j < ldc; ++j) {
+      const double g = static_cast<double>(c[i * ldc + j]);
+      if (i < m_eff && j < n_eff
+              ? !std::isfinite(g) || std::abs(g - ref(i, j)) > tol
+              : c[i * ldc + j] != kSentinel<T>)
         return false;
-      }
     }
+  return true;
+}
+
+/// True when the packed side-output `buf`, kc rows of stride w, holds
+/// value(k, x) bitwise in lanes x < n and zeros in the rest, and any tail
+/// slack past the kc rows still holds the canary.
+template <typename T, typename F>
+bool sliver_ok(const std::vector<T>& buf, index_t kc, int w, int n, F value) {
+  for (std::size_t x = 0; x < buf.size(); ++x) {
+    const index_t k = static_cast<index_t>(x) / w;
+    const int lane = static_cast<int>(x % static_cast<std::size_t>(w));
+    if (buf[x] != (k >= kc ? kSentinel<T> : lane < n ? value(k, lane) : T{0}))
+      return false;
   }
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Main / edge kernel family probes
-// ---------------------------------------------------------------------------
-
-/// Probes the kern_main family for one (A access, B access) combination.
-/// edges = false probes only the full (mr, nr) tile; edges = true probes
-/// every remainder tile (the Fig. 6b edge instantiations).
-template <typename T, ukr::AAccess AA, ukr::BAccess BA>
-bool probe_main_family(bool edges) {
-  using V = simd::vec_of_t<T>;
-  constexpr int L = V::kLanes;
-  constexpr int mr = ukr::kMaxMr;
-  constexpr int nr = ukr::kMaxNrv * L;
-  const T nan = std::numeric_limits<T>::quiet_NaN();
-
-  const index_t kcs[4] = {1, 3, L, 2 * L + 1};
-  const AlphaBeta cases[3] = {
-      {1.0, 0.0, true}, {-0.5, 0.75, false}, {1.25, 1.0, false}};
-
-  for (index_t kc : kcs) {
-    const double tol = probe_tol<T>(kc);
-    for (int m_eff = 1; m_eff <= mr; ++m_eff) {
-      for (int n_eff = 1; n_eff <= nr; ++n_eff) {
-        const bool full = (m_eff == mr && n_eff == nr);
-        if (edges ? full : !full) continue;
-
-        // A storage, mirroring the layout each access mode dispatches on.
-        index_t lda;
-        std::vector<T> abuf;
-        if constexpr (AA == ukr::AAccess::kDirect) {
-          // Row-major in place; ld padding is sentinel (never read).
-          lda = kc + 2;
-          abuf.assign(static_cast<std::size_t>(m_eff) * lda, kSentinel<T>);
-          for (int i = 0; i < m_eff; ++i)
-            for (index_t k = 0; k < kc; ++k)
-              abuf[i * lda + k] = pv<T>(1, i, k);
-        } else if constexpr (AA == ukr::AAccess::kPacked) {
-          // Column slivers of stride mr: rows past m_eff are zero BY
-          // CONTRACT (the packer writes them), plus tail slack.
-          lda = mr;
-          abuf.assign(static_cast<std::size_t>(kc) * mr +
-                          ukr::kPackSlackElems,
-                      T{0});
-          for (index_t k = 0; k < kc; ++k)
-            for (int i = 0; i < m_eff; ++i) abuf[k * mr + i] = pv<T>(1, i, k);
-        } else {  // kDirectTrans: transposed in place, contiguous columns.
-          lda = mr + 1;
-          abuf.assign(static_cast<std::size_t>(kc) * lda, kSentinel<T>);
-          for (index_t k = 0; k < kc; ++k)
-            for (int i = 0; i < m_eff; ++i) abuf[k * lda + i] = pv<T>(1, i, k);
-        }
-
-        index_t ldb;
-        std::vector<T> bbuf;
-        if constexpr (BA == ukr::BAccess::kDirect) {
-          ldb = nr + 3;
-          bbuf.assign(static_cast<std::size_t>(kc) * ldb, kSentinel<T>);
-          for (index_t k = 0; k < kc; ++k)
-            for (int j = 0; j < n_eff; ++j) bbuf[k * ldb + j] = pv<T>(2, k, j);
-        } else {
-          // Row slivers of stride nr, zero-padded past the edge.
-          ldb = nr;
-          bbuf.assign(static_cast<std::size_t>(kc) * nr, T{0});
-          for (index_t k = 0; k < kc; ++k)
-            for (int j = 0; j < n_eff; ++j) bbuf[k * nr + j] = pv<T>(2, k, j);
-        }
-
-        for (const AlphaBeta& cs : cases) {
-          const index_t ldc = nr + 3;
-          std::vector<T> cbuf(static_cast<std::size_t>(mr) * ldc,
-                              kSentinel<T>);
-          for (int i = 0; i < m_eff; ++i)
-            for (int j = 0; j < n_eff; ++j)
-              cbuf[i * ldc + j] =
-                  cs.nan_c ? nan : pv<T>(3, i, j);
-
-          ukr::run_main_tile<T, AA, BA>(
-              m_eff, n_eff, kc, abuf.data(), lda, bbuf.data(), ldb,
-              cbuf.data(), ldc, static_cast<T>(cs.alpha),
-              static_cast<T>(cs.beta));
-
-          const auto ref = [&](int i, int j) {
-            double sum = 0.0;
-            for (index_t k = 0; k < kc; ++k)
-              sum += static_cast<double>(pv<T>(1, i, k)) *
-                     static_cast<double>(pv<T>(2, k, j));
-            double r = cs.alpha * sum;
-            if (cs.beta != 0.0)
-              r += cs.beta * static_cast<double>(pv<T>(3, i, j));
-            return r;
-          };
-          if (!check_c(cbuf, ldc, mr, m_eff, n_eff, tol, ref)) return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Fused NN pack-and-compute probe (Algorithm 1 / Fig. 4)
-// ---------------------------------------------------------------------------
+}  // namespace
 
 template <typename T>
-bool probe_fused_nn() {
-  using V = simd::vec_of_t<T>;
-  constexpr int L = V::kLanes;
-  constexpr int mr = ukr::kMaxMr;
-  constexpr int nr = ukr::kNrFull<T>;
-  const T nan = std::numeric_limits<T>::quiet_NaN();
-
-  struct Cfg {
-    bool pack_cur, ahead;
-    int n_eff;
+bool run_cases(const Cases& cs, Runner<T> run) {
+  const int mr = cs.mr, nr = cs.nr;
+  const index_t ldc = nr + 3;
+  const auto a_col = [](index_t k, int i) { return pv<T>(kSeedA, i, k); };
+  const auto b_row = [](index_t k, int j) { return pv<T>(kSeedB, k, j); };
+  const auto next_row = [nr](index_t k, int j) {
+    return pv<T>(kSeedB, k, nr + j);
   };
-  const index_t kcs[3] = {3, 2 * L + 1, 4 * L};
-  const AlphaBeta cases[2] = {{1.0, 0.0, true}, {-0.5, 0.75, false}};
-
-  for (index_t kc : kcs) {
-    const double tol = probe_tol<T>(kc);
-    const Cfg cfgs[5] = {{true, false, nr},
-                         {true, false, nr - 1},
-                         {true, false, 1},
-                         {true, true, nr},
-                         {false, false, nr}};
-    for (const Cfg& cfg : cfgs) {
-      const int n_eff = cfg.n_eff;
-
-      const index_t lda = kc + 1;
-      std::vector<T> abuf(static_cast<std::size_t>(mr) * lda, kSentinel<T>);
-      for (int i = 0; i < mr; ++i)
-        for (index_t k = 0; k < kc; ++k) abuf[i * lda + k] = pv<T>(11, i, k);
-
-      // B source: either in-place rows holding the current sliver at
-      // column 0 and (when packing ahead) the full-width next sliver at
-      // column nr, or - the t = 1 steady state - the already-packed
-      // current sliver itself.
-      index_t ldb;
-      std::vector<T> bbuf;
-      const T* bptr;
-      const T* bnext = nullptr;
-      index_t ldb_next = 0;
-      if (cfg.pack_cur) {
-        ldb = 2 * nr + 1;
-        bbuf.assign(static_cast<std::size_t>(kc) * ldb, kSentinel<T>);
-        for (index_t k = 0; k < kc; ++k) {
-          for (int j = 0; j < n_eff; ++j) bbuf[k * ldb + j] = pv<T>(12, k, j);
-          if (cfg.ahead)
-            for (int j = 0; j < nr; ++j)
-              bbuf[k * ldb + nr + j] = pv<T>(13, k, j);
-        }
-        bptr = bbuf.data();
-        if (cfg.ahead) {
-          bnext = bbuf.data() + nr;
-          ldb_next = ldb;
-        }
-      } else {
-        ldb = nr;
-        bbuf.assign(static_cast<std::size_t>(kc) * nr, T{0});
+  std::vector<T> abuf, bbuf, cbuf, side, side_next;
+  std::vector<double> dot(static_cast<std::size_t>(mr * nr));
+  for (const index_t kc : cs.kcs) {
+    // Absolute tolerance for values in [-1, 1): generous enough for any
+    // FMA/reassociation scheme, tight enough that a wrong lane mapping (the
+    // realistic miscompile) fails by orders of magnitude.
+    const double tol = (static_cast<double>(kc) + 16.0) * 8.0 *
+                       (sizeof(T) == sizeof(float) ? 1e-6 : 1e-14);
+    // The reference dot products, formed once per kc for every tile.
+    for (int i = 0; i < mr; ++i)
+      for (int j = 0; j < nr; ++j) {
+        double sum = 0.0;
         for (index_t k = 0; k < kc; ++k)
-          for (int j = 0; j < n_eff; ++j) bbuf[k * nr + j] = pv<T>(12, k, j);
-        bptr = bbuf.data();
+          sum += static_cast<double>(a_col(k, i)) *
+                 static_cast<double>(b_row(k, j));
+        dot[i * nr + j] = sum;
       }
+    for (const TileCase& tc : cs.tiles) {
+      const index_t lda = lay_a(cs.a, mr, tc.m_eff, kc, abuf);
+      const index_t ldb = lay_b(tc.b, nr, tc.n_eff, tc.ahead, kc, bbuf);
+      // A kernel reading an already packed B sliver (fused NN without
+      // pack_cur) packs nothing. Side-output slots start as canary, so a
+      // gap in the packed output shows.
+      const bool packs = cs.side == Side::kPackA ||
+                         (cs.side == Side::kPackB && tc.b != Access::kPacked);
+      for (const AlphaBeta& ab : cs.abs) {
+        side.assign(!packs                    ? 0
+                    : cs.side == Side::kPackA ? kc * mr + ukr::kPackSlackElems
+                                              : kc * nr,
+                    kSentinel<T>);
+        side_next.assign(tc.ahead ? kc * nr : 0, kSentinel<T>);
+        cbuf.assign(static_cast<std::size_t>(mr * ldc), kSentinel<T>);
+        for (int i = 0; i < tc.m_eff; ++i)
+          for (int j = 0; j < tc.n_eff; ++j)
+            cbuf[i * ldc + j] = ab.beta == 0.0
+                                    ? std::numeric_limits<T>::quiet_NaN()
+                                    : pv<T>(kSeedC, i, j);
 
-      std::vector<T> bc(static_cast<std::size_t>(kc) * nr, kSentinel<T>);
-      std::vector<T> bc_next(static_cast<std::size_t>(kc) * nr,
-                             kSentinel<T>);
-
-      for (const AlphaBeta& cs : cases) {
-        if (cfg.pack_cur) std::fill(bc.begin(), bc.end(), kSentinel<T>);
-        if (cfg.ahead)
-          std::fill(bc_next.begin(), bc_next.end(), kSentinel<T>);
-
-        const index_t ldc = nr + 2;
-        std::vector<T> cbuf(static_cast<std::size_t>(mr) * ldc,
-                            kSentinel<T>);
-        for (int i = 0; i < mr; ++i)
-          for (int j = 0; j < n_eff; ++j)
-            cbuf[i * ldc + j] = cs.nan_c ? nan : pv<T>(3, i, j);
-
-        ukr::run_fused_pack_nn<T>(
-            cfg.pack_cur, cfg.ahead, n_eff, kc, abuf.data(), lda, bptr, ldb,
-            bc.data(), bnext, ldb_next, bc_next.data(), cbuf.data(), ldc,
-            static_cast<T>(cs.alpha), static_cast<T>(cs.beta));
+        run({tc.m_eff, tc.n_eff, kc, abuf.data(), lda, bbuf.data(), ldb, tc.b,
+             tc.ahead ? bbuf.data() + nr : nullptr,
+             packs ? side.data() : nullptr,
+             tc.ahead ? side_next.data() : nullptr, cbuf.data(), ldc,
+             static_cast<T>(ab.alpha), static_cast<T>(ab.beta)});
 
         const auto ref = [&](int i, int j) {
-          double sum = 0.0;
-          for (index_t k = 0; k < kc; ++k)
-            sum += static_cast<double>(pv<T>(11, i, k)) *
-                   static_cast<double>(pv<T>(12, k, j));
-          double r = cs.alpha * sum;
-          if (cs.beta != 0.0)
-            r += cs.beta * static_cast<double>(pv<T>(3, i, j));
-          return r;
+          const double c0 = ab.beta == 0.0 ? 0.0 : pv<T>(kSeedC, i, j);
+          return ab.alpha * dot[i * nr + j] + ab.beta * c0;
         };
-        if (!check_c(cbuf, ldc, mr, mr, n_eff, tol, ref)) return false;
-
-        // Pack output is a bitwise copy, zero-padded to the full sliver
-        // width (downstream packed-B kernels rely on the zeros).
-        if (cfg.pack_cur) {
-          for (index_t k = 0; k < kc; ++k)
-            for (int j = 0; j < nr; ++j) {
-              const T want = j < n_eff ? pv<T>(12, k, j) : T{0};
-              if (bc[k * nr + j] != want) return false;
-            }
-        }
-        if (cfg.ahead) {
-          for (index_t k = 0; k < kc; ++k)
-            for (int j = 0; j < nr; ++j)
-              if (bc_next[k * nr + j] != pv<T>(13, k, j)) return false;
-        }
+        if (!check_c(cbuf, ldc, mr, tc.m_eff, tc.n_eff, tol, ref))
+          return false;
+        if (!(cs.side == Side::kPackA
+                  ? sliver_ok(side, kc, mr, tc.m_eff, a_col)
+                  : sliver_ok(side, kc, nr, tc.n_eff, b_row)) ||
+            !sliver_ok(side_next, kc, nr, nr, next_row))
+          return false;
       }
     }
   }
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Fused TN/TT pack-A probe (Section 4.3)
-// ---------------------------------------------------------------------------
-
-template <typename T>
-bool probe_fused_tn() {
-  using V = simd::vec_of_t<T>;
-  constexpr int L = V::kLanes;
-  constexpr int mr = ukr::kMaxMr;
-  constexpr int nr = ukr::kMaxNrv * L;
-  const T nan = std::numeric_limits<T>::quiet_NaN();
-
-  const index_t kcs[3] = {1, 2, L + 1};
-  const int n_effs[4] = {nr, nr - 1, 3, 1};
-  const AlphaBeta cases[2] = {{1.0, 0.0, true}, {1.25, 1.0, false}};
-
-  for (int bp = 0; bp < 2; ++bp) {
-    const bool b_packed = bp != 0;
-    for (index_t kc : kcs) {
-      const double tol = probe_tol<T>(kc);
-      for (int n_eff : n_effs) {
-        // Transposed-in-place A: op(A) column k is the contiguous run
-        // a[k*lda .. k*lda+mr); the slot at index mr is sentinel.
-        const index_t lda = mr + 1;
-        std::vector<T> abuf(static_cast<std::size_t>(kc) * lda,
-                            kSentinel<T>);
-        for (index_t k = 0; k < kc; ++k)
-          for (int i = 0; i < mr; ++i) abuf[k * lda + i] = pv<T>(21, i, k);
-
-        index_t ldb;
-        std::vector<T> bbuf;
-        if (b_packed) {
-          ldb = nr;
-          bbuf.assign(static_cast<std::size_t>(kc) * nr, T{0});
-        } else {
-          ldb = nr + 2;
-          bbuf.assign(static_cast<std::size_t>(kc) * ldb, kSentinel<T>);
-        }
-        for (index_t k = 0; k < kc; ++k)
-          for (int j = 0; j < n_eff; ++j) bbuf[k * ldb + j] = pv<T>(22, k, j);
-
-        for (const AlphaBeta& cs : cases) {
-          std::vector<T> ac(static_cast<std::size_t>(kc) * mr +
-                                ukr::kPackSlackElems,
-                            kSentinel<T>);
-          const index_t ldc = nr + 2;
-          std::vector<T> cbuf(static_cast<std::size_t>(mr) * ldc,
-                              kSentinel<T>);
-          for (int i = 0; i < mr; ++i)
-            for (int j = 0; j < n_eff; ++j)
-              cbuf[i * ldc + j] = cs.nan_c ? nan : pv<T>(3, i, j);
-
-          ukr::run_fused_pack_tn<T>(b_packed, n_eff, kc, abuf.data(), lda,
-                                    ac.data(), bbuf.data(), ldb,
-                                    cbuf.data(), ldc,
-                                    static_cast<T>(cs.alpha),
-                                    static_cast<T>(cs.beta));
-
-          const auto ref = [&](int i, int j) {
-            double sum = 0.0;
-            for (index_t k = 0; k < kc; ++k)
-              sum += static_cast<double>(pv<T>(21, i, k)) *
-                     static_cast<double>(pv<T>(22, k, j));
-            double r = cs.alpha * sum;
-            if (cs.beta != 0.0)
-              r += cs.beta * static_cast<double>(pv<T>(3, i, j));
-            return r;
-          };
-          if (!check_c(cbuf, ldc, mr, mr, n_eff, tol, ref)) return false;
-
-          // Ac must hold the bitwise-exact packed columns; the tail slack
-          // must stay untouched.
-          for (index_t k = 0; k < kc; ++k)
-            for (int i = 0; i < mr; ++i)
-              if (ac[k * mr + i] != pv<T>(21, i, k)) return false;
-          for (index_t s = kc * mr; s < static_cast<index_t>(ac.size()); ++s)
-            if (ac[s] != kSentinel<T>) return false;
-        }
-      }
+template <int I>
+void run_tile(const Tile<row_t<I>>& t) {
+  constexpr VariantRow r = kVariants[I];
+  using T = row_t<I>;
+  if constexpr (r.kind == Kind::kMain || r.kind == Kind::kEdge) {
+    ukr::run_main_tile<T, static_cast<ukr::AAccess>(r.a),
+                       static_cast<ukr::BAccess>(r.b)>(
+        t.m_eff, t.n_eff, t.kc, t.a, t.lda, t.b, t.ldb, t.c, t.ldc, t.alpha,
+        t.beta);
+  } else if constexpr (r.kind == Kind::kFusedNn) {
+    ukr::run_fused_pack_nn<T>(t.b_access == Access::kDirect,
+                              t.b_next != nullptr, t.n_eff, t.kc, t.a, t.lda,
+                              t.b, t.ldb, t.side, t.b_next, t.ldb,
+                              t.side_next, t.c, t.ldc, t.alpha, t.beta);
+  } else if constexpr (r.kind == Kind::kFusedTn) {
+    ukr::run_fused_pack_tn<T>(t.b_access == Access::kPacked, t.n_eff, t.kc,
+                              t.a, t.lda, t.side, t.b, t.ldb, t.c, t.ldc,
+                              t.alpha, t.beta);
+  } else if constexpr (r.kind == Kind::kFusedNt) {
+    // As core/plan.cpp does: zero an edge sliver, then pack its column
+    // groups of (up to) 3.
+    if (t.n_eff < ukr::kNrFull<T>)
+      std::fill(t.side, t.side + t.kc * ukr::kNrFull<T>, T{0});
+    for (int jofs = 0; jofs < t.n_eff; jofs += 3) {
+      const int w = std::min(3, t.n_eff - jofs);
+      ukr::run_fused_pack_nt<T>(w, t.kc, t.a, t.lda, t.b, t.ldb, t.side,
+                                jofs, ukr::kNrFull<T>, jofs + w < t.n_eff,
+                                t.c, t.ldc, t.alpha, t.beta);
     }
+  } else {
+    wide::wide_tile<r.width>(t.m_eff, t.n_eff, t.kc, t.a, t.b, t.c, t.ldc,
+                             t.alpha, t.beta);
   }
-  return true;
 }
 
-// ---------------------------------------------------------------------------
-// Fused NT inner-product probe (Algorithm 3 / Fig. 5)
-// ---------------------------------------------------------------------------
+// Every row's runner, instantiated once for the probe table and the tests.
+#define SHALOM_RUN_TILE(id, ...)                          \
+  template void run_tile<static_cast<int>(Variant::id)>( \
+      const Tile<row_t<static_cast<int>(Variant::id)>>&);
+SHALOM_SELFCHECK_VARIANTS(SHALOM_RUN_TILE)
+#undef SHALOM_RUN_TILE
 
-template <typename T>
-bool probe_fused_nt() {
-  using V = simd::vec_of_t<T>;
-  constexpr int L = V::kLanes;
-  constexpr int mr = ukr::kMaxMr;
-  constexpr int nr = ukr::kMaxNrv * L;
-  const T nan = std::numeric_limits<T>::quiet_NaN();
+template bool run_cases<float>(const Cases&, Runner<float>);
+template bool run_cases<double>(const Cases&, Runner<double>);
 
-  const index_t kcs[3] = {L, 2 * L + 3, 35};
-  const int n_effs[4] = {nr, nr - 1, 4, 1};
-  const AlphaBeta cases[2] = {{1.0, 0.0, true}, {-0.5, 0.75, false}};
+}  // namespace probe
 
-  for (index_t kc : kcs) {
-    const double tol = probe_tol<T>(kc);
-    for (int n_eff : n_effs) {
-      const index_t lda = kc + 1;
-      std::vector<T> abuf(static_cast<std::size_t>(mr) * lda, kSentinel<T>);
-      for (int i = 0; i < mr; ++i)
-        for (index_t k = 0; k < kc; ++k) abuf[i * lda + k] = pv<T>(31, i, k);
-
-      // B stored transposed: op(B)(k, j) lives at bt[j*ldb + k].
-      const index_t ldb = kc + 1;
-      std::vector<T> bt(static_cast<std::size_t>(n_eff) * ldb, kSentinel<T>);
-      for (int j = 0; j < n_eff; ++j)
-        for (index_t k = 0; k < kc; ++k) bt[j * ldb + k] = pv<T>(32, k, j);
-
-      for (const AlphaBeta& cs : cases) {
-        // The driver pre-zeroes the sliver tail for edge slivers; full
-        // slivers are written end to end, so sentinel catches gaps.
-        std::vector<T> bc(static_cast<std::size_t>(kc) * nr,
-                          n_eff < nr ? T{0} : kSentinel<T>);
-        const index_t ldc = nr + 2;
-        std::vector<T> cbuf(static_cast<std::size_t>(mr) * ldc,
-                            kSentinel<T>);
-        for (int i = 0; i < mr; ++i)
-          for (int j = 0; j < n_eff; ++j)
-            cbuf[i * ldc + j] = cs.nan_c ? nan : pv<T>(3, i, j);
-
-        // Replicate the driver's column-group loop over one sliver.
-        for (int jofs = 0; jofs < n_eff; jofs += 3) {
-          const int w = std::min(3, n_eff - jofs);
-          const bool store_full = jofs + w < n_eff;
-          ukr::run_fused_pack_nt<T>(w, kc, abuf.data(), lda, bt.data(), ldb,
-                                    bc.data(), jofs, nr, store_full,
-                                    cbuf.data(), ldc,
-                                    static_cast<T>(cs.alpha),
-                                    static_cast<T>(cs.beta));
-        }
-
-        const auto ref = [&](int i, int j) {
-          double sum = 0.0;
-          for (index_t k = 0; k < kc; ++k)
-            sum += static_cast<double>(pv<T>(31, i, k)) *
-                   static_cast<double>(pv<T>(32, k, j));
-          double r = cs.alpha * sum;
-          if (cs.beta != 0.0)
-            r += cs.beta * static_cast<double>(pv<T>(3, i, j));
-          return r;
-        };
-        if (!check_c(cbuf, ldc, mr, mr, n_eff, tol, ref)) return false;
-
-        // The scatter must reproduce B^T bitwise, zero-padded at the edge.
-        for (index_t k = 0; k < kc; ++k)
-          for (int j = 0; j < nr; ++j) {
-            const T want = j < n_eff ? pv<T>(32, k, j) : T{0};
-            if (bc[k * nr + j] != want) return false;
-          }
-      }
-    }
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Wide-vector tile probe (Section 5.5)
-// ---------------------------------------------------------------------------
-
-template <int Bits>
-bool probe_wide() {
-  constexpr int kMr = wide::WideTile<Bits>::kMr;
-  constexpr int kLanes = Bits / 32;
-  constexpr int kNr = wide::WideTile<Bits>::kNrv * kLanes;
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-
-  const index_t kcs[3] = {1, 5, 17};
-  struct MN {
-    int m, n;
-  };
-  const MN mns[3] = {{kMr, kNr}, {kMr - 2, kNr - 3}, {1, 1}};
-  const AlphaBeta cases[2] = {{1.0, 0.0, true}, {-0.5, 0.75, false}};
-
-  for (index_t kc : kcs) {
-    const double tol = probe_tol<float>(kc);
-    for (const MN& mn : mns) {
-      std::vector<float> a_sliver(static_cast<std::size_t>(kc) * kMr, 0.f);
-      for (index_t k = 0; k < kc; ++k)
-        for (int i = 0; i < mn.m; ++i)
-          a_sliver[k * kMr + i] = pv<float>(41, i, k);
-      std::vector<float> b_sliver(static_cast<std::size_t>(kc) * kNr, 0.f);
-      for (index_t k = 0; k < kc; ++k)
-        for (int j = 0; j < mn.n; ++j)
-          b_sliver[k * kNr + j] = pv<float>(42, k, j);
-
-      for (const AlphaBeta& cs : cases) {
-        const index_t ldc = kNr + 1;
-        std::vector<float> cbuf(static_cast<std::size_t>(kMr) * ldc,
-                                kSentinel<float>);
-        for (int i = 0; i < mn.m; ++i)
-          for (int j = 0; j < mn.n; ++j)
-            cbuf[i * ldc + j] = cs.nan_c ? nan : pv<float>(3, i, j);
-
-        wide::wide_tile<Bits>(mn.m, mn.n, kc, a_sliver.data(),
-                              b_sliver.data(), cbuf.data(), ldc,
-                              static_cast<float>(cs.alpha),
-                              static_cast<float>(cs.beta));
-
-        const auto ref = [&](int i, int j) {
-          double sum = 0.0;
-          for (index_t k = 0; k < kc; ++k)
-            sum += static_cast<double>(pv<float>(41, i, k)) *
-                   static_cast<double>(pv<float>(42, k, j));
-          double r = cs.alpha * sum;
-          if (cs.beta != 0.0)
-            r += cs.beta * static_cast<double>(pv<float>(3, i, j));
-          return r;
-        };
-        if (!check_c(cbuf, ldc, kMr, mn.m, mn.n, tol, ref)) return false;
-      }
-    }
-  }
-  return true;
-}
+namespace {
 
 // ---------------------------------------------------------------------------
 // Per-variant state and probe dispatch
@@ -575,23 +278,11 @@ std::atomic<int> g_state[kVariantCount];
 // the variant is observably quarantined.
 std::atomic<int> g_cause[kVariantCount];
 
-/// The probe of list row I, chosen by the row's columns.
+/// The probe of list row I: its case-table row through its runner.
 template <int I>
 bool probe_row() {
-  constexpr VariantRow r = kVariants[I];
-  using T = std::conditional_t<r.dtype == Dtype::kF64, double, float>;
-  if constexpr (r.kind == Kind::kMain || r.kind == Kind::kEdge)
-    return probe_main_family<T, static_cast<ukr::AAccess>(r.a),
-                             static_cast<ukr::BAccess>(r.b)>(
-        r.kind == Kind::kEdge);
-  else if constexpr (r.kind == Kind::kFusedNn)
-    return probe_fused_nn<T>();
-  else if constexpr (r.kind == Kind::kFusedNt)
-    return probe_fused_nt<T>();
-  else if constexpr (r.kind == Kind::kFusedTn)
-    return probe_fused_tn<T>();
-  else
-    return probe_wide<r.width>();
+  return probe::run_cases<probe::row_t<I>>(probe::row_cases<I>(),
+                                           &probe::run_tile<I>);
 }
 
 constexpr auto kProbes = []<int... I>(std::integer_sequence<int, I...>) {
@@ -858,10 +549,10 @@ struct SelftestEnvInit {
   SelftestEnvInit() noexcept {
     const char* v = env::raw("SHALOM_SELFTEST");
     if (v == nullptr || *v == '\0') return;
-    const bool truthy = env_ieq(v, "1") || env_ieq(v, "on") ||
-                        env_ieq(v, "yes") || env_ieq(v, "true");
-    const bool falsy = env_ieq(v, "0") || env_ieq(v, "off") ||
-                       env_ieq(v, "no") || env_ieq(v, "false");
+    const bool truthy = env::ieq(v, "1") || env::ieq(v, "on") ||
+                        env::ieq(v, "yes") || env::ieq(v, "true");
+    const bool falsy = env::ieq(v, "0") || env::ieq(v, "off") ||
+                       env::ieq(v, "no") || env::ieq(v, "false");
     if (truthy) {
       // Cross-TU static-init order is unspecified: fault.cpp's own
       // SHALOM_FAULT parser may not have run yet, so re-arm here to keep
@@ -886,12 +577,12 @@ Policy env_policy() noexcept {
   static const Policy policy = [] {
     const char* v = env::raw("SHALOM_CHECK_NUMERICS");
     if (v == nullptr || *v == '\0') return Policy::kIgnore;
-    if (env_ieq(v, "ignore") || env_ieq(v, "off") || env_ieq(v, "0") ||
-        env_ieq(v, "no") || env_ieq(v, "false"))
+    if (env::ieq(v, "ignore") || env::ieq(v, "off") || env::ieq(v, "0") ||
+        env::ieq(v, "no") || env::ieq(v, "false"))
       return Policy::kIgnore;
-    if (env_ieq(v, "count")) return Policy::kCount;
-    if (env_ieq(v, "fail") || env_ieq(v, "on") || env_ieq(v, "1") ||
-        env_ieq(v, "yes") || env_ieq(v, "true"))
+    if (env::ieq(v, "count")) return Policy::kCount;
+    if (env::ieq(v, "fail") || env::ieq(v, "on") || env::ieq(v, "1") ||
+        env::ieq(v, "yes") || env::ieq(v, "true"))
       return Policy::kFail;
     env::warn_malformed("SHALOM_CHECK_NUMERICS", v, "ignore|count|fail");
     return Policy::kIgnore;

@@ -1,14 +1,15 @@
 // Runtime kernel self-verification, quarantine state, and the opt-in
 // numerical guard.
 //
-// The dispatch layer multiplies kernel variants aggressively (main tile,
-// 83 FP32 edge instantiations, fused pack-and-compute NN/NT/TN paths,
-// wide-vector tiles), and a single miscompiled or misdispatched variant
-// produces silent numeric corruption rather than an error. This module
-// closes that hole: every variant family can be probed against the scalar
-// reference on small deterministic inputs, and a variant that fails its
-// probe is *quarantined* - dispatch and plan building permanently route
-// around it to the next-best verified kernel (ultimately scalar).
+// Dispatch multiplies kernel variants: MainTable (core/dispatch.h) holds 42
+// kern_main instantiations per element type and access pair, covering the
+// 83 FP32 / 41 FP64 remainder tiles with the tail's lane count passed at
+// run time, and the fused NN/NT/TN and wide-vector kernels come on top. A
+// single miscompiled variant corrupts results silently, so every variant
+// family is probed against a double-precision reference on small
+// deterministic tiles (selfcheck_probe.h), and a variant that fails is
+// *quarantined*: dispatch and plan building route around it to the
+// next-best verified kernel (ultimately scalar).
 //
 // The variant set is one list (SHALOM_SELFCHECK_VARIANTS below): each row
 // names a family's id, kind, element type, vector width and operand

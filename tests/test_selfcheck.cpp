@@ -17,10 +17,12 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "baselines/naive.h"
 #include "common/fault.h"
 #include "common/selfcheck.h"
+#include "common/selfcheck_probe.h"
 #include "core/shalom.h"
 #include "core/shalom_c.h"
 #include "core/widegemm.h"
@@ -103,6 +105,114 @@ TEST(Selfcheck, LazyProbeRunsOncePerVariant) {
   EXPECT_TRUE(selfcheck::variant_ok(v));
   EXPECT_EQ(robustness_stats().selfchecks_run, runs);
   EXPECT_EQ(selfcheck::status(v), selfcheck::Status::kVerified);
+}
+
+// ---------------------------------------------------------------------------
+// Probe sensitivity: the harness, handed a deliberately wrong kernel in
+// place of a variant's runner, must reject it. Each test first runs the
+// same rows with the real runner, so a rejection is the fault's doing.
+// ---------------------------------------------------------------------------
+
+namespace probe = selfcheck::probe;
+
+constexpr int row(selfcheck::Variant v) { return static_cast<int>(v); }
+
+/// Probes variant row I with `run` in place of its kernel call.
+template <int I>
+bool probe_with(probe::Runner<probe::row_t<I>> run) {
+  return probe::run_cases(probe::row_cases<I>(), run);
+}
+
+/// A tail store that writes one lane past n_eff (a full-width store of
+/// the zero-padded tail vector).
+template <int I>
+void store_past_n_eff(const probe::Tile<probe::row_t<I>>& t) {
+  probe::run_tile<I>(t);
+  t.c[t.n_eff] = 0;
+}
+
+/// A kernel that scales the old C by beta even when beta is 0.
+template <int I>
+void read_c_at_beta_zero(const probe::Tile<probe::row_t<I>>& t) {
+  const auto c00 = t.c[0];
+  probe::run_tile<I>(t);
+  if (t.beta == 0) t.c[0] += t.beta * c00;
+}
+
+/// A kernel that stores two output lanes in each other's place.
+template <int I>
+void swap_lanes(const probe::Tile<probe::row_t<I>>& t) {
+  probe::run_tile<I>(t);
+  if (t.n_eff >= 2) std::swap(t.c[0], t.c[1]);
+}
+
+/// A fused kernel that packs one element of its side-output wrong.
+template <int I>
+void corrupt_side_output(const probe::Tile<probe::row_t<I>>& t) {
+  probe::run_tile<I>(t);
+  if (t.side != nullptr) t.side[0] += 1;
+}
+
+/// A pack-ahead kernel that copies one element of the next sliver wrong.
+template <int I>
+void corrupt_next_sliver(const probe::Tile<probe::row_t<I>>& t) {
+  probe::run_tile<I>(t);
+  if (t.side_next != nullptr) t.side_next[0] += 1;
+}
+
+template <int I>
+void expect_rejects_store_past_n_eff() {
+  EXPECT_TRUE(probe_with<I>(&probe::run_tile<I>))
+      << selfcheck::kVariants[I].name;
+  EXPECT_FALSE(probe_with<I>(&store_past_n_eff<I>))
+      << selfcheck::kVariants[I].name;
+}
+
+// The rows below share few kernel tables: every run_tile<I> instantiates
+// its whole kernel family in this file.
+TEST(SelfcheckHarness, RejectsStorePastNEff) {
+  using V = selfcheck::Variant;
+  expect_rejects_store_past_n_eff<row(V::kMainF32DirectDirect)>();
+  expect_rejects_store_past_n_eff<row(V::kEdgeF32DirectDirect)>();
+  expect_rejects_store_past_n_eff<row(V::kEdgeF64PackedPacked)>();
+  expect_rejects_store_past_n_eff<row(V::kFusedNnF32)>();
+  expect_rejects_store_past_n_eff<row(V::kFusedTnF32)>();
+  expect_rejects_store_past_n_eff<row(V::kFusedNtF32)>();
+  expect_rejects_store_past_n_eff<row(V::kWide256)>();
+}
+
+TEST(SelfcheckHarness, RejectsCReadAtBetaZero) {
+  using V = selfcheck::Variant;
+  constexpr int kEdge = row(V::kEdgeF32DirectDirect);
+  constexpr int kWide = row(V::kWide256);
+  EXPECT_TRUE(probe_with<kEdge>(&probe::run_tile<kEdge>));
+  EXPECT_FALSE(probe_with<kEdge>(&read_c_at_beta_zero<kEdge>));
+  EXPECT_TRUE(probe_with<kWide>(&probe::run_tile<kWide>));
+  EXPECT_FALSE(probe_with<kWide>(&read_c_at_beta_zero<kWide>));
+}
+
+TEST(SelfcheckHarness, RejectsSwappedLanes) {
+  using V = selfcheck::Variant;
+  constexpr int kMain = row(V::kMainF64PackedPacked);
+  constexpr int kNt = row(V::kFusedNtF32);
+  EXPECT_TRUE(probe_with<kMain>(&probe::run_tile<kMain>));
+  EXPECT_FALSE(probe_with<kMain>(&swap_lanes<kMain>));
+  EXPECT_TRUE(probe_with<kNt>(&probe::run_tile<kNt>));
+  EXPECT_FALSE(probe_with<kNt>(&swap_lanes<kNt>));
+}
+
+TEST(SelfcheckHarness, RejectsWrongPackedSideOutput) {
+  using V = selfcheck::Variant;
+  constexpr int kNn = row(V::kFusedNnF32);
+  constexpr int kTn = row(V::kFusedTnF32);
+  constexpr int kNt = row(V::kFusedNtF32);
+  EXPECT_TRUE(probe_with<kNn>(&probe::run_tile<kNn>));
+  EXPECT_FALSE(probe_with<kNn>(&corrupt_side_output<kNn>)) << "Bc";
+  EXPECT_FALSE(probe_with<kNn>(&corrupt_next_sliver<kNn>)) << "next Bc";
+  EXPECT_TRUE(probe_with<kTn>(&probe::run_tile<kTn>));
+  EXPECT_FALSE(probe_with<kTn>(&corrupt_side_output<kTn>)) << "Ac";
+  EXPECT_TRUE(probe_with<kNt>(&probe::run_tile<kNt>));
+  EXPECT_FALSE(probe_with<kNt>(&corrupt_side_output<kNt>)) << "B^T";
 }
 
 // ---------------------------------------------------------------------------
