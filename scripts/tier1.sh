@@ -17,7 +17,9 @@ cd "$(dirname "$0")/.."
 JOBS=$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)
 
 echo "=== tier1: standard build + full ctest (SHALOM_SELFTEST=1) ==="
-cmake -B build -S .
+# -Werror keeps the standard build warning-free: a new compiler warning
+# fails tier 1 here instead of scrolling past.
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j "${JOBS}"
 SHALOM_SELFTEST=1 ctest --test-dir build --output-on-failure -j "${JOBS}"
 

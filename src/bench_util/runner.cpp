@@ -16,7 +16,7 @@ void evict_caches() {
   // Write pass so the lines are owned, then a read pass.
   for (std::size_t i = 0; i < n; i += kCacheLineBytes) p[i] += 1;
   volatile unsigned char sink = 0;
-  for (std::size_t i = 0; i < n; i += kCacheLineBytes) sink += p[i];
+  for (std::size_t i = 0; i < n; i += kCacheLineBytes) sink = sink + p[i];
   (void)sink;
 }
 

@@ -15,8 +15,7 @@ struct Layout {
   addr_t a, b, c, ac, bc;
 
   template <typename T>
-  static Layout make(index_t M, index_t N, index_t K, index_t ac_elems,
-                     index_t bc_elems) {
+  static Layout make(index_t M, index_t N, index_t K, index_t ac_elems) {
     auto align = [](addr_t x) { return (x + kPage - 1) / kPage * kPage; };
     Layout l{};
     addr_t cur = 16 * kPage;
@@ -59,8 +58,7 @@ SimResult walk_goto_nt(const arch::MachineDescriptor& machine, index_t M,
   const index_t ldb = K;  // B stored N x K under NT
   const index_t ldc = N;
   const index_t lda = K;
-  const Layout lay = Layout::make<T>(
-      M, N, K, blk.mc * blk.kc + 64, blk.kc * blk.nc + 64);
+  const Layout lay = Layout::make<T>(M, N, K, blk.mc * blk.kc + 64);
 
   for (index_t jj = 0; jj < N; jj += blk.nc) {
     const index_t ncur = std::min<index_t>(blk.nc, N - jj);
@@ -125,7 +123,7 @@ SimResult walk_shalom_nt(const arch::MachineDescriptor& machine, index_t M,
   const index_t ldb = K;
   const index_t ldc = N;
   const index_t lda = K;
-  const Layout lay = Layout::make<T>(M, N, K, 64, 2 * blk.kc * nr + 64);
+  const Layout lay = Layout::make<T>(M, N, K, 64);
 
   // Loop exchange: ii before kk (Section 8.4's locality argument), A in
   // place, B packed inside the micro-kernel.

@@ -9,35 +9,32 @@ namespace shalom {
 
 namespace {
 
-// Robustness-stats counters: monotonic event tallies with no ordering
-// relationship to the degraded work they count, so every operation is an
-// explicit relaxed op (lock-free, hence outside the capability
-// annotations of common/thread_annotations.h; shalom_lint enforces the
-// explicit orders).
-std::atomic<std::uint64_t> g_fallback_nopack{0};
-std::atomic<std::uint64_t> g_threads_degraded{0};
-std::atomic<std::uint64_t> g_kernels_quarantined{0};
-std::atomic<std::uint64_t> g_selfchecks_run{0};
-std::atomic<std::uint64_t> g_numeric_anomalies{0};
-std::atomic<std::uint64_t> g_kernels_trapped{0};
-std::atomic<std::uint64_t> g_watchdog_trips{0};
-std::atomic<std::uint64_t> g_arena_corruptions{0};
-std::atomic<std::uint64_t> g_stream_queue_peak{0};
-std::atomic<std::uint64_t> g_requests_shed{0};
-std::atomic<std::uint64_t> g_requests_expired{0};
-std::atomic<std::uint64_t> g_requests_cancelled{0};
-std::atomic<std::uint64_t> g_submit_retries{0};
-std::atomic<std::uint64_t> g_breaker_trips{0};
-std::atomic<std::uint64_t> g_table_records_rejected{0};
-std::atomic<std::uint64_t> g_table_load_failures{0};
-std::atomic<std::uint64_t> g_recoveries{0};
-std::atomic<std::uint64_t> g_probation_probes{0};
-std::atomic<std::uint64_t> g_probation_failures{0};
-std::atomic<std::uint64_t> g_breaker_half_opens{0};
+// Robustness-stats counters, one slot per SHALOM_ROBUSTNESS_COUNTERS row:
+// monotonic event tallies with no ordering relationship to the degraded
+// work they count, so every operation is an explicit relaxed op
+// (lock-free, hence outside the capability annotations of
+// common/thread_annotations.h; shalom_lint enforces the explicit orders).
+// Only kCount and kPeak slots are ever written.
+std::atomic<std::uint64_t> g_counters[kCounterCount];
 // Reset offset for the injected counters: the per-site counters are
 // monotonic (tests rely on fault::injected), so reset only rebases the
 // aggregate view.
 std::atomic<std::uint64_t> g_injected_rebase{0};
+
+struct CounterRow {
+  std::uint64_t RobustnessStats::*field;
+  CounterKind kind;
+};
+constexpr CounterRow kCounterRows[] = {
+#define SHALOM_COUNTER_ROW(id, field, kind) \
+  {&RobustnessStats::field, CounterKind::kind},
+    SHALOM_ROBUSTNESS_COUNTERS(SHALOM_COUNTER_ROW)
+#undef SHALOM_COUNTER_ROW
+};
+
+std::atomic<std::uint64_t>& slot(Counter c) noexcept {
+  return g_counters[static_cast<int>(c)];
+}
 
 std::uint64_t injected_sum() noexcept {
   std::uint64_t total = 0;
@@ -51,128 +48,45 @@ std::uint64_t injected_sum() noexcept {
 
 RobustnessStats robustness_stats() noexcept {
   RobustnessStats s;
-  s.fallback_nopack = g_fallback_nopack.load(std::memory_order_relaxed);
-  s.threads_degraded = g_threads_degraded.load(std::memory_order_relaxed);
-  s.kernels_quarantined =
-      g_kernels_quarantined.load(std::memory_order_relaxed);
-  s.selfchecks_run = g_selfchecks_run.load(std::memory_order_relaxed);
-  s.numeric_anomalies = g_numeric_anomalies.load(std::memory_order_relaxed);
-  s.kernels_trapped = g_kernels_trapped.load(std::memory_order_relaxed);
-  s.watchdog_trips = g_watchdog_trips.load(std::memory_order_relaxed);
-  s.arena_corruptions = g_arena_corruptions.load(std::memory_order_relaxed);
-  s.stream_queue_peak = g_stream_queue_peak.load(std::memory_order_relaxed);
-  s.requests_shed = g_requests_shed.load(std::memory_order_relaxed);
-  s.requests_expired = g_requests_expired.load(std::memory_order_relaxed);
-  s.requests_cancelled =
-      g_requests_cancelled.load(std::memory_order_relaxed);
-  s.submit_retries = g_submit_retries.load(std::memory_order_relaxed);
-  s.breaker_trips = g_breaker_trips.load(std::memory_order_relaxed);
-  s.table_records_rejected =
-      g_table_records_rejected.load(std::memory_order_relaxed);
-  s.table_load_failures =
-      g_table_load_failures.load(std::memory_order_relaxed);
-  s.recoveries = g_recoveries.load(std::memory_order_relaxed);
-  s.probation_probes = g_probation_probes.load(std::memory_order_relaxed);
-  s.probation_failures =
-      g_probation_failures.load(std::memory_order_relaxed);
-  s.breaker_half_opens =
-      g_breaker_half_opens.load(std::memory_order_relaxed);
-  const std::uint64_t rebase =
-      g_injected_rebase.load(std::memory_order_relaxed);
-  const std::uint64_t total = injected_sum();
-  s.faults_injected = total >= rebase ? total - rebase : 0;
+  for (int i = 0; i < kCounterCount; ++i) {
+    std::uint64_t& out = s.*kCounterRows[i].field;
+    switch (kCounterRows[i].kind) {
+      case CounterKind::kCount:
+      case CounterKind::kPeak:
+        out = g_counters[i].load(std::memory_order_relaxed);
+        break;
+      case CounterKind::kDerived: {  // faults_injected, the only one
+        const std::uint64_t rebase =
+            g_injected_rebase.load(std::memory_order_relaxed);
+        const std::uint64_t total = injected_sum();
+        out = total >= rebase ? total - rebase : 0;
+        break;
+      }
+      case CounterKind::kRetired:
+        break;
+    }
+  }
   return s;
 }
 
 void robustness_stats_reset() noexcept {
-  g_fallback_nopack.store(0, std::memory_order_relaxed);
-  g_threads_degraded.store(0, std::memory_order_relaxed);
-  g_kernels_quarantined.store(0, std::memory_order_relaxed);
-  g_selfchecks_run.store(0, std::memory_order_relaxed);
-  g_numeric_anomalies.store(0, std::memory_order_relaxed);
-  g_kernels_trapped.store(0, std::memory_order_relaxed);
-  g_watchdog_trips.store(0, std::memory_order_relaxed);
-  g_arena_corruptions.store(0, std::memory_order_relaxed);
-  g_stream_queue_peak.store(0, std::memory_order_relaxed);
-  g_requests_shed.store(0, std::memory_order_relaxed);
-  g_requests_expired.store(0, std::memory_order_relaxed);
-  g_requests_cancelled.store(0, std::memory_order_relaxed);
-  g_submit_retries.store(0, std::memory_order_relaxed);
-  g_breaker_trips.store(0, std::memory_order_relaxed);
-  g_table_records_rejected.store(0, std::memory_order_relaxed);
-  g_table_load_failures.store(0, std::memory_order_relaxed);
-  g_recoveries.store(0, std::memory_order_relaxed);
-  g_probation_probes.store(0, std::memory_order_relaxed);
-  g_probation_failures.store(0, std::memory_order_relaxed);
-  g_breaker_half_opens.store(0, std::memory_order_relaxed);
+  for (std::atomic<std::uint64_t>& c : g_counters)
+    c.store(0, std::memory_order_relaxed);
   g_injected_rebase.store(injected_sum(), std::memory_order_relaxed);
 }
 
 namespace telemetry {
-void note_fallback_nopack() noexcept {
-  g_fallback_nopack.fetch_add(1, std::memory_order_relaxed);
+void note(Counter c) noexcept {
+  slot(c).fetch_add(1, std::memory_order_relaxed);
 }
-void note_threads_degraded() noexcept {
-  g_threads_degraded.fetch_add(1, std::memory_order_relaxed);
-}
-void note_kernel_quarantined() noexcept {
-  g_kernels_quarantined.fetch_add(1, std::memory_order_relaxed);
-}
-void note_selfcheck_run() noexcept {
-  g_selfchecks_run.fetch_add(1, std::memory_order_relaxed);
-}
-void note_numeric_anomaly() noexcept {
-  g_numeric_anomalies.fetch_add(1, std::memory_order_relaxed);
-}
-void note_kernel_trapped() noexcept {
-  g_kernels_trapped.fetch_add(1, std::memory_order_relaxed);
-}
-void note_watchdog_trip() noexcept {
-  g_watchdog_trips.fetch_add(1, std::memory_order_relaxed);
-}
-void note_arena_corruption() noexcept {
-  g_arena_corruptions.fetch_add(1, std::memory_order_relaxed);
-}
-void note_queue_depth(std::uint64_t depth) noexcept {
-  std::uint64_t peak = g_stream_queue_peak.load(std::memory_order_relaxed);
-  while (depth > peak &&
-         !g_stream_queue_peak.compare_exchange_weak(
-             peak, depth, std::memory_order_relaxed,
-             std::memory_order_relaxed)) {
+void raise_peak(Counter c, std::uint64_t value) noexcept {
+  std::atomic<std::uint64_t>& peak_slot = slot(c);
+  std::uint64_t peak = peak_slot.load(std::memory_order_relaxed);
+  while (value > peak &&
+         !peak_slot.compare_exchange_weak(peak, value,
+                                          std::memory_order_relaxed,
+                                          std::memory_order_relaxed)) {
   }
-}
-void note_request_shed() noexcept {
-  g_requests_shed.fetch_add(1, std::memory_order_relaxed);
-}
-void note_request_expired() noexcept {
-  g_requests_expired.fetch_add(1, std::memory_order_relaxed);
-}
-void note_request_cancelled() noexcept {
-  g_requests_cancelled.fetch_add(1, std::memory_order_relaxed);
-}
-void note_submit_retry() noexcept {
-  g_submit_retries.fetch_add(1, std::memory_order_relaxed);
-}
-void note_breaker_trip() noexcept {
-  g_breaker_trips.fetch_add(1, std::memory_order_relaxed);
-}
-void note_table_record_rejected() noexcept {
-  g_table_records_rejected.fetch_add(1, std::memory_order_relaxed);
-}
-void note_table_load_failure() noexcept {
-  g_table_load_failures.fetch_add(1, std::memory_order_relaxed);
-}
-void note_recovery() noexcept {
-  g_recoveries.fetch_add(1, std::memory_order_relaxed);
-}
-void note_probation_probe() noexcept {
-  g_probation_probes.fetch_add(1, std::memory_order_relaxed);
-}
-void note_probation_failure() noexcept {
-  g_probation_failures.fetch_add(1, std::memory_order_relaxed);
-}
-void note_breaker_half_open() noexcept {
-  g_breaker_half_opens.fetch_add(1, std::memory_order_relaxed);
 }
 }  // namespace telemetry
 
@@ -215,41 +129,13 @@ bool should_fail_slow(SiteState& st) noexcept {
 }  // namespace detail
 
 const char* site_name(Site site) noexcept {
-  switch (site) {
-    case Site::kAllocPackArena:
-      return "alloc.pack_arena";
-    case Site::kThreadpoolSpawn:
-      return "threadpool.spawn";
-    case Site::kSelfcheckProbe:
-      return "selfcheck.probe";
-    case Site::kGuardTrap:
-      return "guard.trap";
-    case Site::kThreadpoolHeartbeat:
-      return "threadpool.heartbeat";
-    case Site::kGuardCanary:
-      return "guard.canary";
-    case Site::kSubmitQueue:
-      return "submit.queue";
-    case Site::kEngineDeadline:
-      return "engine.deadline";
-    case Site::kEngineShed:
-      return "engine.shed";
-    case Site::kTableOpen:
-      return "table.open";
-    case Site::kTableRead:
-      return "table.read";
-    case Site::kTableWrite:
-      return "table.write";
-    case Site::kTableRename:
-      return "table.rename";
-    case Site::kTableFsync:
-      return "table.fsync";
-    case Site::kHealthProbe:
-      return "health.probe";
-    case Site::kHealthRespawn:
-      return "health.respawn";
-  }
-  return "unknown";
+  static constexpr const char* kNames[] = {
+#define SHALOM_SITE_NAME(id, name) name,
+      SHALOM_FAULT_SITES(SHALOM_SITE_NAME)
+#undef SHALOM_SITE_NAME
+  };
+  const int i = static_cast<int>(site);
+  return i >= 0 && i < kSiteCount ? kNames[i] : "unknown";
 }
 
 void arm(Site site, Mode mode, std::uint64_t n) noexcept {

@@ -19,61 +19,16 @@
 //   every-N       every Nth check fails (every-1 = always fail)
 //   fail-after-N  the first N checks succeed, every later one fails
 //
-// Sites (the degradation each one exercises is listed in DESIGN.md):
-//   alloc.pack_arena     pack-arena reservation at execution time
-//   threadpool.spawn     spawning one pool worker thread
-//   selfcheck.probe      one micro-kernel selfcheck probe (common/selfcheck.h);
-//                        an injected failure quarantines the probed variant
-//   guard.trap           a guard trap scope (common/guard.h); an injected
-//                        failure reports the scoped call as trapped (simulated
-//                        SIGILL) without running it
-//   threadpool.heartbeat a pool worker at round pickup; an injected failure
-//                        wedges the worker (it parks until pool shutdown),
-//                        which is what the watchdog must recover from
-//   guard.canary         the post-execution arena canary verification; an
-//                        injected failure reports the canaries as violated
-//   submit.queue         enqueueing one async GEMM request into a stream
-//                        (core/engine.h); an injected failure rejects the
-//                        submission with std::bad_alloc before anything is
-//                        queued, so the stream state is unchanged (the
-//                        submit path retries with exponential backoff
-//                        before surfacing the failure)
-//   engine.deadline      the drainer's per-request deadline sweep; an
-//                        injected failure expires the swept request as if
-//                        its deadline had passed, resolving its ticket
-//                        with SHALOM_ERR_TIMEOUT before gemm_batch runs
-//   engine.shed          stream admission control; an injected failure
-//                        sheds the incoming submission (rejected_error →
-//                        SHALOM_ERR_REJECTED) regardless of queue depth
-//                        or overload policy, so shed handling is testable
-//                        without filling the queue
-//   table.open           opening the tuned-table file (tuning/table.h),
-//                        either side (load or the temp file of a save); an
-//                        injected failure reports the open as failed, so
-//                        load degrades to a cold start and save fails with
-//                        the previous table untouched
-//   table.read           one checked fread from the tuned-table file; an
-//                        injected failure truncates the load at that point
-//                        (cold start, table_load_failures)
-//   table.write          one checked fwrite to the temp file of an atomic
-//                        save; an injected failure aborts the save before
-//                        the rename, leaving the previous table intact
-//   table.rename         the rename(tmp, final) commit step of a save; an
-//                        injected failure discards the temp file - the
-//                        previous table stays byte-identical
-//   table.fsync          the fsync barrier before the commit rename; an
-//                        injected failure aborts the save (a table that
-//                        might not be durable is never renamed in)
-//   health.probe         one recovery probation probe (common/health.h);
-//                        an injected failure makes the probe report the
-//                        component as still unhealthy, so the probation
-//                        streak resets and the cool-down doubles - the
-//                        component stays degraded, never corrupts
-//   health.respawn       a degraded thread pool's worker re-spawn attempt
-//                        during recovery; an injected failure keeps the
-//                        pool at its narrowed width until the next
-//                        cool-down elapses (recovery itself degrades
-//                        gracefully back to the latched state)
+// Both registries are one row list each, and everything else is generated
+// from the rows:
+//   SHALOM_ROBUSTNESS_COUNTERS  RobustnessStats, the Counter enum, the
+//                               counter atomics, the snapshot and reset
+//                               loops, and the C mirror copy with its
+//                               per-row layout checks (core/shalom_c.cpp)
+//   SHALOM_FAULT_SITES          the Site enum, kSiteCount and site_name()
+// tools/shalom_lint reads the same rows for its registry-drift rules, so a
+// new counter or site is one new row (plus its API.md / DESIGN.md entry
+// and a test that moves or arms it).
 //
 // The telemetry half (RobustnessStats) is always compiled: the degradation
 // paths are real production behaviour - injection is only one way to reach
@@ -93,146 +48,219 @@ namespace shalom {
 // Degradation telemetry (always compiled)
 // ---------------------------------------------------------------------------
 
-/// Process-wide counters of graceful-degradation events. Monotonic since
+/// How a robustness counter moves.
+enum class CounterKind {
+  kCount,    // telemetry::note adds one per event
+  kPeak,     // telemetry::raise_peak keeps the largest value observed
+  kDerived,  // computed by the snapshot, never stored
+  kRetired,  // kept for layout stability; always reads 0
+};
+
+/// The robustness counters, X(enumerator, field, kind), one row per
+/// RobustnessStats field in layout order. The C mirror (shalom_stats)
+/// repeats this order and is checked against it at compile time.
+#define SHALOM_ROBUSTNESS_COUNTERS(X)                                        \
+  /* Executions that ran the no-pack fallback loop because the pack */       \
+  /* arena could not be reserved. */                                         \
+  X(kFallbackNopack, fallback_nopack, kCount)                                \
+  /* Fork-join rounds that ran with fewer workers than the plan */           \
+  /* wanted (down to fully serial) because the pool could not grow. */       \
+  X(kThreadsDegraded, threads_degraded, kCount)                              \
+  /* Retired with the plan cache: always 0. Kept so the struct layout */     \
+  /* and the C mirror (shalom_stats) stay stable. */                         \
+  X(kPlanCacheBypassed, plan_cache_bypassed, kRetired)                       \
+  /* Faults fired by the injection framework (0 in production builds): */    \
+  /* the per-site injected counters summed, minus the reset rebase. */       \
+  X(kFaultsInjected, faults_injected, kDerived)                              \
+  /* Micro-kernel variants quarantined after failing their selfcheck */      \
+  /* probe: dispatch routes around them permanently */                       \
+  /* (common/selfcheck.h). */                                                \
+  X(kKernelsQuarantined, kernels_quarantined, kCount)                        \
+  /* Selfcheck probes executed (lazy first-dispatch probes plus eager */     \
+  /* shalom_selftest() / SHALOM_SELFTEST=1 sweeps). */                       \
+  X(kSelfchecksRun, selfchecks_run, kCount)                                  \
+  /* NaN/Inf anomalies observed by the opt-in numerical guard */             \
+  /* (Config::check_numerics with policy kCount or kFail); one count */      \
+  /* per scan that found a non-finite value. */                              \
+  X(kNumericAnomalies, numeric_anomalies, kCount)                            \
+  /* Hardware traps (SIGILL/SIGSEGV/SIGBUS/SIGFPE) contained by a */         \
+  /* guard trap scope (common/guard.h), one per trapped probe. Every */      \
+  /* trap also quarantines the variant, so kernels_quarantined moves */      \
+  /* with it. */                                                             \
+  X(kKernelsTrapped, kernels_trapped, kCount)                                \
+  /* Thread-pool watchdog trips: parallel_for rounds whose workers */        \
+  /* made no heartbeat progress for Config::watchdog_ms, recovered by */     \
+  /* the round leader running the unclaimed tasks serially */                \
+  /* (core/threadpool.h). */                                                 \
+  X(kWatchdogTrips, watchdog_trips, kCount)                                  \
+  /* Guarded pack-arena canary violations detected after kernel */           \
+  /* execution (SHALOM_GUARD=canary|poison); each one quarantines the */     \
+  /* dispatched variant and fails the call with */                           \
+  /* SHALOM_ERR_CORRUPTION. */                                               \
+  X(kArenaCorruptions, arena_corruptions, kCount)                            \
+  /* High-water mark of any stream's submission-queue depth (CAS-max */      \
+  /* over every depth observed at admission time; reset rebases to 0). */    \
+  X(kStreamQueuePeak, stream_queue_peak, kPeak)                              \
+  /* Submissions shed by admission control: queue-at-capacity under a */     \
+  /* shed-* policy, the engine.shed fault site, or submit on a */            \
+  /* draining/closed stream (each resolves as SHALOM_ERR_REJECTED). */       \
+  X(kRequestsShed, requests_shed, kCount)                                    \
+  /* Queued requests whose deadline expired before execution plus */         \
+  /* block-policy submits that timed out waiting for queue space */          \
+  /* (each resolves as SHALOM_ERR_TIMEOUT). */                               \
+  X(kRequestsExpired, requests_expired, kCount)                              \
+  /* Queued requests cancelled via shalom_future_cancel before the */        \
+  /* drainer claimed them (each resolves as SHALOM_ERR_REJECTED). */         \
+  X(kRequestsCancelled, requests_cancelled, kCount)                          \
+  /* Transient-failure retries spent by the submit/spawn/batch */            \
+  /* retry-with-backoff loops (one count per backoff sleep). */              \
+  X(kSubmitRetries, submit_retries, kCount)                                  \
+  /* Circuit-breaker trips: streams latched into synchronous-degraded */     \
+  /* mode after N consecutive retry-exhausted failures. */                   \
+  X(kBreakerTrips, breaker_trips, kCount)                                    \
+  /* Tuned-table records skipped during a load because their */              \
+  /* checksum, dtype/trans flags, dimensions, or blocking failed */          \
+  /* validation against the kernel contracts (tuning/table.h); */            \
+  /* rejected records are never published to the planner. */                 \
+  X(kTableRecordsRejected, table_records_rejected, kCount)                   \
+  /* Tuned-table operations that failed as a whole: unreadable/ */           \
+  /* corrupt/version-skewed/fingerprint-skewed files at load (degrades */    \
+  /* to a cold start) and aborted atomic saves (previous table left */       \
+  /* intact). */                                                             \
+  X(kTableLoadFailures, table_load_failures, kCount)                         \
+  /* Degraded components restored to full service by the recovery */         \
+  /* layer (common/health.h): an un-quarantined kernel variant, a */         \
+  /* re-expanded thread pool, or a circuit breaker closed after a */         \
+  /* clean half-open trial streak. */                                        \
+  X(kRecoveries, recoveries, kCount)                                         \
+  /* Probation probes attempted by the recovery layer (passive on-path */    \
+  /* cool-down checks plus forced shalom_recover_now passes), */             \
+  /* successful or not. */                                                   \
+  X(kProbationProbes, probation_probes, kCount)                              \
+  /* Probation probes that failed: the component re-latches into its */      \
+  /* degraded state and its recovery cool-down doubles. */                   \
+  X(kProbationFailures, probation_failures, kCount)                          \
+  /* Latched circuit breakers that entered the half-open trial state */      \
+  /* after their cool-down elapsed (core/engine.h); each trial streak */     \
+  /* ends in either a recovery or a probation failure. */                    \
+  X(kBreakerHalfOpens, breaker_half_opens, kCount)
+
+/// Process-wide counters of graceful-degradation events, one field per
+/// SHALOM_ROBUSTNESS_COUNTERS row (see the row comments). Monotonic since
 /// process start (or the last robustness_stats_reset()); reads are relaxed
 /// snapshots, safe from any thread.
 struct RobustnessStats {
-  /// Executions that ran the no-pack fallback loop because the pack arena
-  /// could not be reserved.
-  std::uint64_t fallback_nopack = 0;
-  /// Fork-join rounds that ran with fewer workers than the plan wanted
-  /// (down to fully serial) because the pool could not grow.
-  std::uint64_t threads_degraded = 0;
-  /// Retired with the plan cache: always 0. Kept so the struct layout and
-  /// the C mirror (shalom_stats) stay stable.
-  std::uint64_t plan_cache_bypassed = 0;
-  /// Faults fired by the injection framework (0 in production builds).
-  std::uint64_t faults_injected = 0;
-  /// Micro-kernel variants quarantined after failing their selfcheck
-  /// probe: dispatch routes around them permanently (common/selfcheck.h).
-  std::uint64_t kernels_quarantined = 0;
-  /// Selfcheck probes executed (lazy first-dispatch probes plus eager
-  /// shalom_selftest() / SHALOM_SELFTEST=1 sweeps).
-  std::uint64_t selfchecks_run = 0;
-  /// NaN/Inf anomalies observed by the opt-in numerical guard
-  /// (Config::check_numerics with policy kCount or kFail); one count per
-  /// scan that found a non-finite value.
-  std::uint64_t numeric_anomalies = 0;
-  /// Hardware traps (SIGILL/SIGSEGV/SIGBUS/SIGFPE) contained by a guard
-  /// trap scope (common/guard.h), one per trapped probe. Every trap also
-  /// quarantines the variant, so kernels_quarantined moves with it.
-  std::uint64_t kernels_trapped = 0;
-  /// Thread-pool watchdog trips: parallel_for rounds whose workers made no
-  /// heartbeat progress for Config::watchdog_ms, recovered by the round
-  /// leader running the unclaimed tasks serially (core/threadpool.h).
-  std::uint64_t watchdog_trips = 0;
-  /// Guarded pack-arena canary violations detected after kernel execution
-  /// (SHALOM_GUARD=canary|poison); each one quarantines the dispatched
-  /// variant and fails the call with SHALOM_ERR_CORRUPTION.
-  std::uint64_t arena_corruptions = 0;
-  /// High-water mark of any stream's submission-queue depth (CAS-max over
-  /// every depth observed at admission time; reset rebases to 0).
-  std::uint64_t stream_queue_peak = 0;
-  /// Submissions shed by admission control: queue-at-capacity under a
-  /// shed-* policy, the engine.shed fault site, or submit on a
-  /// draining/closed stream (each resolves as SHALOM_ERR_REJECTED).
-  std::uint64_t requests_shed = 0;
-  /// Queued requests whose deadline expired before execution plus
-  /// block-policy submits that timed out waiting for queue space (each
-  /// resolves as SHALOM_ERR_TIMEOUT).
-  std::uint64_t requests_expired = 0;
-  /// Queued requests cancelled via shalom_future_cancel before the
-  /// drainer claimed them (each resolves as SHALOM_ERR_REJECTED).
-  std::uint64_t requests_cancelled = 0;
-  /// Transient-failure retries spent by the submit/spawn/batch
-  /// retry-with-backoff loops (one count per backoff sleep).
-  std::uint64_t submit_retries = 0;
-  /// Circuit-breaker trips: streams latched into synchronous-degraded
-  /// mode after N consecutive retry-exhausted failures.
-  std::uint64_t breaker_trips = 0;
-  /// Tuned-table records skipped during a load because their checksum,
-  /// dtype/trans flags, dimensions, or blocking failed validation against
-  /// the kernel contracts (tuning/table.h); rejected records are never
-  /// published to the planner.
-  std::uint64_t table_records_rejected = 0;
-  /// Tuned-table operations that failed as a whole: unreadable/corrupt/
-  /// version-skewed/fingerprint-skewed files at load (degrades to a cold
-  /// start) and aborted atomic saves (previous table left intact).
-  std::uint64_t table_load_failures = 0;
-  /// Degraded components restored to full service by the recovery layer
-  /// (common/health.h): an un-quarantined kernel variant, a re-expanded
-  /// thread pool, or a circuit breaker closed after a clean half-open
-  /// trial streak.
-  std::uint64_t recoveries = 0;
-  /// Probation probes attempted by the recovery layer (passive on-path
-  /// cool-down checks plus forced shalom_recover_now passes), successful
-  /// or not.
-  std::uint64_t probation_probes = 0;
-  /// Probation probes that failed: the component re-latches into its
-  /// degraded state and its recovery cool-down doubles.
-  std::uint64_t probation_failures = 0;
-  /// Latched circuit breakers that entered the half-open trial state
-  /// after their cool-down elapsed (core/engine.h); each trial streak
-  /// ends in either a recovery or a probation failure.
-  std::uint64_t breaker_half_opens = 0;
+#define SHALOM_COUNTER_FIELD(id, field, kind) std::uint64_t field = 0;
+  SHALOM_ROBUSTNESS_COUNTERS(SHALOM_COUNTER_FIELD)
+#undef SHALOM_COUNTER_FIELD
 };
+
+/// Names one robustness counter (one enumerator per table row).
+enum class Counter : int {
+#define SHALOM_COUNTER_ENUM(id, field, kind) id,
+  SHALOM_ROBUSTNESS_COUNTERS(SHALOM_COUNTER_ENUM)
+#undef SHALOM_COUNTER_ENUM
+};
+
+#define SHALOM_PLUS_ONE(...) +1
+inline constexpr int kCounterCount =
+    0 SHALOM_ROBUSTNESS_COUNTERS(SHALOM_PLUS_ONE);
 
 RobustnessStats robustness_stats() noexcept;
 void robustness_stats_reset() noexcept;
 
 namespace telemetry {
-void note_fallback_nopack() noexcept;
-void note_threads_degraded() noexcept;
-void note_kernel_quarantined() noexcept;
-void note_selfcheck_run() noexcept;
-void note_numeric_anomaly() noexcept;
-void note_kernel_trapped() noexcept;
-void note_watchdog_trip() noexcept;
-void note_arena_corruption() noexcept;
-/// CAS-max: records `depth` as the new stream_queue_peak if it exceeds
-/// the current peak (relaxed; a lost race only undercounts by one
-/// concurrent observation and the next deeper queue restores it).
-void note_queue_depth(std::uint64_t depth) noexcept;
-void note_request_shed() noexcept;
-void note_request_expired() noexcept;
-void note_request_cancelled() noexcept;
-void note_submit_retry() noexcept;
-void note_breaker_trip() noexcept;
-void note_table_record_rejected() noexcept;
-void note_table_load_failure() noexcept;
-void note_recovery() noexcept;
-void note_probation_probe() noexcept;
-void note_probation_failure() noexcept;
-void note_breaker_half_open() noexcept;
+/// Adds one to a kCount counter.
+void note(Counter c) noexcept;
+/// CAS-max for a kPeak counter: records `value` if it exceeds the current
+/// peak (relaxed; a lost race only undercounts by one concurrent
+/// observation and the next larger value restores it).
+void raise_peak(Counter c, std::uint64_t value) noexcept;
 }  // namespace telemetry
 
 // ---------------------------------------------------------------------------
 // Fault-injection framework
 // ---------------------------------------------------------------------------
 
+/// The fault sites, X(enumerator, "name"), one row per site in dense index
+/// order. The degradation each one exercises is listed in DESIGN.md.
+#define SHALOM_FAULT_SITES(X)                                                \
+  /* Pack-arena reservation at execution time. */                            \
+  X(kAllocPackArena, "alloc.pack_arena")                                     \
+  /* Spawning one pool worker thread. */                                     \
+  X(kThreadpoolSpawn, "threadpool.spawn")                                    \
+  /* One micro-kernel selfcheck probe (common/selfcheck.h); an */            \
+  /* injected failure quarantines the probed variant. */                     \
+  X(kSelfcheckProbe, "selfcheck.probe")                                      \
+  /* A guard trap scope (common/guard.h); an injected failure reports */     \
+  /* the scoped call as trapped (simulated SIGILL) without running it. */    \
+  X(kGuardTrap, "guard.trap")                                                \
+  /* A pool worker at round pickup; an injected failure wedges the */        \
+  /* worker (it parks until pool shutdown), which is what the watchdog */    \
+  /* must recover from. */                                                   \
+  X(kThreadpoolHeartbeat, "threadpool.heartbeat")                            \
+  /* The post-execution arena canary verification; an injected */            \
+  /* failure reports the canaries as violated. */                            \
+  X(kGuardCanary, "guard.canary")                                            \
+  /* Enqueueing one async GEMM request into a stream (core/engine.h); */     \
+  /* an injected failure rejects the submission with std::bad_alloc */       \
+  /* before anything is queued, so the stream state is unchanged (the */     \
+  /* submit path retries with exponential backoff before surfacing the */    \
+  /* failure). */                                                            \
+  X(kSubmitQueue, "submit.queue")                                            \
+  /* The drainer's per-request deadline sweep; an injected failure */        \
+  /* expires the swept request as if its deadline had passed, */             \
+  /* resolving its ticket with SHALOM_ERR_TIMEOUT before gemm_batch */       \
+  /* runs. */                                                                \
+  X(kEngineDeadline, "engine.deadline")                                      \
+  /* Stream admission control; an injected failure sheds the incoming */     \
+  /* submission (rejected_error → SHALOM_ERR_REJECTED) regardless of */      \
+  /* queue depth or overload policy, so shed handling is testable */         \
+  /* without filling the queue. */                                           \
+  X(kEngineShed, "engine.shed")                                              \
+  /* Opening the tuned-table file (tuning/table.h), either side (load */     \
+  /* or the temp file of a save); an injected failure reports the open */    \
+  /* as failed, so load degrades to a cold start and save fails with */      \
+  /* the previous table untouched. */                                        \
+  X(kTableOpen, "table.open")                                                \
+  /* One checked fread from the tuned-table file; an injected failure */     \
+  /* truncates the load at that point (cold start, */                        \
+  /* table_load_failures). */                                                \
+  X(kTableRead, "table.read")                                                \
+  /* One checked fwrite to the temp file of an atomic save; an */            \
+  /* injected failure aborts the save before the rename, leaving the */      \
+  /* previous table intact. */                                               \
+  X(kTableWrite, "table.write")                                              \
+  /* The rename(tmp, final) commit step of a save; an injected failure */    \
+  /* discards the temp file - the previous table stays */                    \
+  /* byte-identical. */                                                      \
+  X(kTableRename, "table.rename")                                            \
+  /* The fsync barrier before the commit rename; an injected failure */      \
+  /* aborts the save (a table that might not be durable is never */          \
+  /* renamed in). */                                                         \
+  X(kTableFsync, "table.fsync")                                              \
+  /* One recovery probation probe (common/health.h); an injected */          \
+  /* failure makes the probe report the component as still unhealthy, */     \
+  /* so the probation streak resets and the cool-down doubles - the */       \
+  /* component stays degraded, never corrupts. */                            \
+  X(kHealthProbe, "health.probe")                                            \
+  /* A degraded thread pool's worker re-spawn attempt during recovery; */    \
+  /* an injected failure keeps the pool at its narrowed width until */       \
+  /* the next cool-down elapses (recovery itself degrades gracefully */      \
+  /* back to the latched state). */                                          \
+  X(kHealthRespawn, "health.respawn")
+
 namespace fault {
 
 /// Named fault sites: dense indices into the site table. Sites are armed
 /// by name (arm_from_spec) or by enum, never by number.
 enum class Site : int {
-  kAllocPackArena = 0,
-  kThreadpoolSpawn = 1,
-  kSelfcheckProbe = 2,
-  kGuardTrap = 3,
-  kThreadpoolHeartbeat = 4,
-  kGuardCanary = 5,
-  kSubmitQueue = 6,
-  kEngineDeadline = 7,
-  kEngineShed = 8,
-  kTableOpen = 9,
-  kTableRead = 10,
-  kTableWrite = 11,
-  kTableRename = 12,
-  kTableFsync = 13,
-  kHealthProbe = 14,
-  kHealthRespawn = 15,
+#define SHALOM_SITE_ENUM(id, name) id,
+  SHALOM_FAULT_SITES(SHALOM_SITE_ENUM)
+#undef SHALOM_SITE_ENUM
 };
-inline constexpr int kSiteCount = 16;
+inline constexpr int kSiteCount = 0 SHALOM_FAULT_SITES(SHALOM_PLUS_ONE);
+#undef SHALOM_PLUS_ONE
 
 /// Trigger modes (see the header comment for semantics).
 enum class Mode : std::uint32_t {

@@ -60,8 +60,8 @@ const char* name_of(Enum e, const char* const (&names)[N]) noexcept {
 
 /// Counts how a probation ended, once its CAS has landed.
 void count_end(bool succeeded) noexcept {
-  succeeded ? telemetry::note_recovery()
-            : telemetry::note_probation_failure();
+  telemetry::note(succeeded ? Counter::kRecoveries
+                            : Counter::kProbationFailures);
 }
 
 }  // namespace
@@ -243,7 +243,7 @@ void report_quarantined(Component c, Cause cause) noexcept {
 }
 
 void report_recovered(Component c) noexcept {
-  if (latch(c).recover()) telemetry::note_recovery();
+  if (latch(c).recover()) telemetry::note(Counter::kRecoveries);
 }
 
 bool try_begin_probation(Component c) noexcept {
@@ -257,7 +257,7 @@ void probation_succeeded(Component c) noexcept {
 void probation_failed(Component c) noexcept { latch(c).end_probation(false); }
 
 bool probe_faulted() noexcept {
-  telemetry::note_probation_probe();
+  telemetry::note(Counter::kProbationProbes);
   return SHALOM_FAULT_POINT(fault::Site::kHealthProbe);
 }
 

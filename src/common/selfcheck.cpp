@@ -329,7 +329,7 @@ void run_probe_trampoline(void* p) {
 /// site, kTrap for a contained trap, kMismatch for a divergent result);
 /// untouched when the probe passes.
 bool run_probe(Variant v, health::Cause* cause) noexcept {
-  telemetry::note_selfcheck_run();
+  telemetry::note(Counter::kSelfchecksRun);
   if (SHALOM_FAULT_POINT(fault::Site::kSelfcheckProbe)) {
     *cause = health::Cause::kInjected;
     return false;
@@ -344,7 +344,7 @@ bool run_probe(Variant v, health::Cause* cause) noexcept {
   const guard::TrapOutcome trap =
       guard::run_trapped(run_probe_trampoline, &ctx);
   if (trap.trapped) {
-    telemetry::note_kernel_trapped();
+    telemetry::note(Counter::kKernelsTrapped);
     *cause = health::Cause::kTrap;
     char msg[160];
     std::snprintf(msg, sizeof msg,
@@ -375,7 +375,7 @@ int probe_and_publish(Variant v) noexcept {
           expected, verdict, std::memory_order_acq_rel,
           std::memory_order_acquire)) {
     if (!ok) {
-      telemetry::note_kernel_quarantined();
+      telemetry::note(Counter::kKernelsQuarantined);
       health::report_degraded(health::Component::kKernels, cause);
       std::fprintf(stderr,
                    "shalom: selfcheck: probe failed for kernel variant "
@@ -441,7 +441,7 @@ void quarantine(Variant v, health::Cause cause) noexcept {
                                    static_cast<int>(Status::kQuarantined),
                                    std::memory_order_acq_rel,
                                    std::memory_order_acquire)) {
-      telemetry::note_kernel_quarantined();
+      telemetry::note(Counter::kKernelsQuarantined);
       health::report_degraded(health::Component::kKernels, cause);
       std::fprintf(stderr,
                    "shalom: guard: kernel variant '%s' quarantined after a "

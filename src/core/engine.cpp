@@ -219,7 +219,7 @@ struct GemmStream::Impl {
 
   void count_retry() noexcept {
     retry_count.fetch_add(1, std::memory_order_relaxed);
-    telemetry::note_submit_retry();
+    telemetry::note(Counter::kSubmitRetries);
   }
 
   /// The latch transition (exactly once per healthy->latched cycle):
@@ -227,7 +227,7 @@ struct GemmStream::Impl {
   /// process-wide breaker census.
   void latch_breaker() noexcept {
     if (!breaker.degrade(health::Cause::kOverload)) return;
-    telemetry::note_breaker_trip();
+    telemetry::note(Counter::kBreakerTrips);
     g_latched_streams.fetch_add(1, std::memory_order_relaxed);
     health::report_degraded(health::Component::kStreamBreaker,
                             health::Cause::kOverload);
@@ -252,7 +252,8 @@ struct GemmStream::Impl {
   /// breaker at once and the request falls back to inline execution).
   bool breaker_trial_admission(health::Latch::Window* window) noexcept {
     if (synchronous) return false;  // no drainer to return to
-    if (breaker.try_begin_probation()) telemetry::note_breaker_half_open();
+    if (breaker.try_begin_probation())
+      telemetry::note(Counter::kBreakerHalfOpens);
     if (!breaker.admit_trial(window)) return false;  // closed or full
     if (health::probe_faulted()) {
       breaker.end_trial(*window, false);
@@ -354,7 +355,7 @@ struct GemmStream::Impl {
       MutexLock lock(mu);
       if (lifecycle != kRunning) {
         ++counters.shed;
-        telemetry::note_request_shed();
+        telemetry::note(Counter::kRequestsShed);
         throw rejected_error("shalom: submit on a draining/closed stream");
       }
       ++counters.submitted;
@@ -440,7 +441,7 @@ struct GemmStream::Impl {
             if (r.ticket->revoke(SHALOM_ERR_TIMEOUT,
                                  "shalom: request deadline expired before "
                                  "execution")) {
-              telemetry::note_request_expired();
+              telemetry::note(Counter::kRequestsExpired);
               ++counters.expired;
             }
             continue;
@@ -504,7 +505,7 @@ TicketPtr GemmStream::submit(Mode mode, index_t m, index_t n, index_t k,
   // caller, not to a ticket resolved later on the drainer.
   detail::check_gemm_args(mode, m, n, k, a, lda, b, ldb, c, ldc);
   if (SHALOM_FAULT_POINT(fault::Site::kEngineShed)) {
-    telemetry::note_request_shed();
+    telemetry::note(Counter::kRequestsShed);
     MutexLock lock(impl_->mu);
     ++impl_->counters.shed;
     throw rejected_error(
@@ -552,14 +553,14 @@ TicketPtr GemmStream::submit(Mode mode, index_t m, index_t n, index_t k,
       MutexLock lock(impl_->mu);
       if (impl_->lifecycle != Impl::kRunning) {
         ++impl_->counters.shed;
-        telemetry::note_request_shed();
+        telemetry::note(Counter::kRequestsShed);
         throw rejected_error("shalom: submit on a draining/closed stream");
       }
       if (cap > 0 && impl_->pending.size() >= cap) {
         switch (static_cast<OverloadPolicy>(impl_->opts.overload_policy)) {
           case OverloadPolicy::kShedNewest:
             ++impl_->counters.shed;
-            telemetry::note_request_shed();
+            telemetry::note(Counter::kRequestsShed);
             throw rejected_error(
                 "shalom: queue at capacity (shed-newest policy)");
           case OverloadPolicy::kShedOldest: {
@@ -571,7 +572,7 @@ TicketPtr GemmStream::submit(Mode mode, index_t m, index_t n, index_t k,
                     SHALOM_ERR_REJECTED,
                     "shalom: shed (oldest) under overload")) {
               ++impl_->counters.shed;
-              telemetry::note_request_shed();
+              telemetry::note(Counter::kRequestsShed);
             }
             impl_->pending.erase(oldest);
             break;
@@ -589,7 +590,7 @@ TicketPtr GemmStream::submit(Mode mode, index_t m, index_t n, index_t k,
                     impl_->lifecycle == Impl::kRunning &&
                     impl_->pending.size() >= cap) {
                   ++impl_->counters.expired;
-                  telemetry::note_request_expired();
+                  telemetry::note(Counter::kRequestsExpired);
                   throw timeout_error(
                       "shalom: deadline expired waiting for queue space");
                 }
@@ -597,7 +598,7 @@ TicketPtr GemmStream::submit(Mode mode, index_t m, index_t n, index_t k,
             }
             if (impl_->lifecycle != Impl::kRunning) {
               ++impl_->counters.shed;
-              telemetry::note_request_shed();
+              telemetry::note(Counter::kRequestsShed);
               throw rejected_error(
                   "shalom: stream drained away while blocked on admission");
             }
@@ -612,7 +613,7 @@ TicketPtr GemmStream::submit(Mode mode, index_t m, index_t n, index_t k,
       const std::uint64_t depth = impl_->pending.size();
       if (depth > impl_->counters.queue_peak)
         impl_->counters.queue_peak = depth;
-      telemetry::note_queue_depth(depth);
+      telemetry::raise_peak(Counter::kStreamQueuePeak, depth);
       impl_->consecutive_failures.store(0, std::memory_order_relaxed);
       break;
     } catch (const std::bad_alloc&) {

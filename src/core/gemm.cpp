@@ -44,7 +44,7 @@ namespace {
 /// Records one anomalous operand and, under kFail, aborts the call before
 /// any arithmetic can smear the non-finite values across C.
 void numeric_anomaly(const char* operand, numerics::Policy policy) {
-  telemetry::note_numeric_anomaly();
+  telemetry::note(Counter::kNumericAnomalies);
   if (policy == numerics::Policy::kFail)
     throw numeric_error(std::string("shalom: non-finite value (NaN/Inf) "
                                     "detected in operand ") +
@@ -84,7 +84,7 @@ void numeric_guard_result(index_t M, index_t N, const T* C, index_t ldc,
                           numerics::Policy policy) {
   if (policy == numerics::Policy::kIgnore) return;
   if (M > 0 && N > 0 && numerics::has_nonfinite(C, M, N, ldc)) {
-    telemetry::note_numeric_anomaly();
+    telemetry::note(Counter::kNumericAnomalies);
     if (policy == numerics::Policy::kFail)
       throw numeric_error(
           "shalom: non-finite value (NaN/Inf) in the computed result C");

@@ -174,7 +174,7 @@ void verify_pack_arena(const GemmPlan<T>& plan, AlignedBuffer& arena) {
   if (SHALOM_FAULT_POINT(fault::Site::kGuardCanary)) intact = false;
   if (intact) return;
 
-  telemetry::note_arena_corruption();
+  telemetry::note(Counter::kArenaCorruptions);
   const selfcheck::Variant v = plan_variant(plan);
   selfcheck::quarantine(v);
   char msg[192];
@@ -223,7 +223,7 @@ void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
         throw std::bad_alloc();
       arena->reserve(plan.arena_bytes);
     } catch (const std::bad_alloc&) {
-      telemetry::note_fallback_nopack();
+      telemetry::note(Counter::kFallbackNopack);
       arena = nullptr;
       a_packed = b_packed = false;
       // The packed execution never consulted the in-place families, so

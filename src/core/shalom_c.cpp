@@ -1,5 +1,6 @@
 #include "core/shalom_c.h"
 
+#include <cstddef>
 #include <memory>
 #include <new>
 
@@ -130,31 +131,23 @@ extern "C" const char* shalom_last_error_message(void) {
   return shalom::detail::last_error_message();
 }
 
+// shalom_stats mirrors RobustnessStats field for field; a row added to,
+// dropped from or reordered in either struct fails the build here.
+#define SHALOM_STATS_LAYOUT(id, field, kind)                       \
+  static_assert(offsetof(shalom_stats, field) ==                   \
+                offsetof(shalom::RobustnessStats, field));         \
+  static_assert(sizeof(shalom_stats::field) ==                     \
+                sizeof(shalom::RobustnessStats::field));
+SHALOM_ROBUSTNESS_COUNTERS(SHALOM_STATS_LAYOUT)
+#undef SHALOM_STATS_LAYOUT
+static_assert(sizeof(shalom_stats) == sizeof(shalom::RobustnessStats));
+
 extern "C" void shalom_get_stats(shalom_stats* out) {
   if (out == nullptr) return;
   const shalom::RobustnessStats s = shalom::robustness_stats();
-  out->fallback_nopack = s.fallback_nopack;
-  out->threads_degraded = s.threads_degraded;
-  out->plan_cache_bypassed = s.plan_cache_bypassed;
-  out->faults_injected = s.faults_injected;
-  out->kernels_quarantined = s.kernels_quarantined;
-  out->selfchecks_run = s.selfchecks_run;
-  out->numeric_anomalies = s.numeric_anomalies;
-  out->kernels_trapped = s.kernels_trapped;
-  out->watchdog_trips = s.watchdog_trips;
-  out->arena_corruptions = s.arena_corruptions;
-  out->stream_queue_peak = s.stream_queue_peak;
-  out->requests_shed = s.requests_shed;
-  out->requests_expired = s.requests_expired;
-  out->requests_cancelled = s.requests_cancelled;
-  out->submit_retries = s.submit_retries;
-  out->breaker_trips = s.breaker_trips;
-  out->table_records_rejected = s.table_records_rejected;
-  out->table_load_failures = s.table_load_failures;
-  out->recoveries = s.recoveries;
-  out->probation_probes = s.probation_probes;
-  out->probation_failures = s.probation_failures;
-  out->breaker_half_opens = s.breaker_half_opens;
+#define SHALOM_STATS_COPY(id, field, kind) out->field = s.field;
+  SHALOM_ROBUSTNESS_COUNTERS(SHALOM_STATS_COPY)
+#undef SHALOM_STATS_COPY
 }
 
 extern "C" void shalom_reset_stats(void) { shalom::robustness_stats_reset(); }
@@ -455,7 +448,7 @@ extern "C" int shalom_future_cancel(shalom_future* future) {
   } catch (...) {
     return 0;
   }
-  shalom::telemetry::note_request_cancelled();
+  shalom::telemetry::note(shalom::Counter::kRequestsCancelled);
   return 1;
 }
 

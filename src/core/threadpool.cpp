@@ -318,7 +318,7 @@ void ThreadPool::watchdog_wait(Round& r, int watchdog_ms,
     // task no worker has claimed by running it on this thread.
     tripped = true;
     degraded_.store(true, std::memory_order_release);
-    telemetry::note_watchdog_trip();
+    telemetry::note(Counter::kWatchdogTrips);
     health::report_degraded(health::Component::kThreadPool,
                             health::Cause::kOverload);
     std::fprintf(stderr,
@@ -445,7 +445,7 @@ void pool_run(int tasks, const std::function<void(int)>& fn,
   // Degraded round: fewer workers than tasks. Chunk tasks over the width
   // we have; with a single-thread (or watchdog-degraded) pool that
   // collapses to a serial loop.
-  telemetry::note_threads_degraded();
+  telemetry::note(Counter::kThreadsDegraded);
   if (avail <= 1) {
     for (int id = 0; id < tasks; ++id) fn(id);
     return;

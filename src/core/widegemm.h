@@ -203,7 +203,7 @@ void gemm_wide(index_t M, index_t N, index_t K, float alpha, const float* A,
   // Guarded-arena audit (SHALOM_GUARD): a violated canary means the wide
   // tile wrote outside the arena - quarantine it and fail the call.
   if (!arena.verify_guards()) {
-    telemetry::note_arena_corruption();
+    telemetry::note(Counter::kArenaCorruptions);
     selfcheck::quarantine(selfcheck::wide_variant(Bits));
     throw corruption_error(
         "pack-arena guard canary violated after wide-GEMM execution "

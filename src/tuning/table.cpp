@@ -158,7 +158,7 @@ std::atomic<std::uint64_t> g_save_failures{0};
 
 void note_save_failure() noexcept {
   g_save_failures.fetch_add(1, std::memory_order_relaxed);
-  telemetry::note_table_load_failure();
+  telemetry::note(Counter::kTableLoadFailures);
   health::report_degraded(health::Component::kTunedTable,
                           health::Cause::kOverload);
 }
@@ -169,7 +169,7 @@ void note_save_failure() noexcept {
 /// recovery is purely passive. Caller-argument failures (null path) only
 /// count; they say nothing about the store itself.
 void note_load_failure() noexcept {
-  telemetry::note_table_load_failure();
+  telemetry::note(Counter::kTableLoadFailures);
   health::report_degraded(health::Component::kTunedTable,
                           health::Cause::kOverload);
 }
@@ -250,14 +250,14 @@ bool table_validate(const TunedRecord& rec) noexcept {
 
 bool table_record(const TunedRecord& rec) noexcept {
   if (!table_validate(rec)) {
-    telemetry::note_table_record_rejected();
+    telemetry::note(Counter::kTableRecordsRejected);
     return false;
   }
   try {
     register_unchecked(rec);
     return true;
   } catch (...) {
-    telemetry::note_table_record_rejected();
+    telemetry::note(Counter::kTableRecordsRejected);
     return false;
   }
 }
@@ -299,7 +299,7 @@ TableStats table_stats() noexcept {
 shalom_status table_load(const char* path) noexcept {
   try {
     if (path == nullptr || *path == '\0') {
-      telemetry::note_table_load_failure();
+      telemetry::note(Counter::kTableLoadFailures);
       return SHALOM_ERR_TABLE;
     }
     std::FILE* f = checked_open(path, "rb");
@@ -344,18 +344,18 @@ shalom_status table_load(const char* path) noexcept {
     valid.reserve(raw.size());
     for (const auto& buf : raw) {
       if (get_u32(buf.data() + 60) != crc32(buf.data(), 60)) {
-        telemetry::note_table_record_rejected();
+        telemetry::note(Counter::kTableRecordsRejected);
         continue;
       }
       const TunedRecord rec = decode(buf.data());
       if (!table_validate(rec)) {
-        telemetry::note_table_record_rejected();
+        telemetry::note(Counter::kTableRecordsRejected);
         continue;
       }
       const bool ok =
           rec.dtype == 's' ? plannable<float>(rec) : plannable<double>(rec);
       if (!ok) {
-        telemetry::note_table_record_rejected();
+        telemetry::note(Counter::kTableRecordsRejected);
         continue;
       }
       register_unchecked(rec);

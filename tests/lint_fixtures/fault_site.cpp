@@ -1,4 +1,3 @@
 // Fixture: fault-site-documented - a site DESIGN.md does not list.
-namespace fault { enum class Site { kBogus }; }
-
-const char* site_name(fault::Site) { return "bogus.site"; }
+#define SHALOM_FAULT_SITES(X) \
+  X(kBogus, "bogus.site")

@@ -1,14 +1,9 @@
 // Fixture: registry-drift - registries that drift from the fake docs
 // (drift_design.md, drift_api.md), fake tests (drift_tests/) and fake
 // tier1 script (drift_tier1.sh) the lint tests point the analyzer at.
-namespace fault { enum class Site : int { kDriftArmed, kDriftOrphan }; }
-const char* site_name(fault::Site s) {
-  switch (s) {
-    case fault::Site::kDriftArmed: return "drift.armed_site";
-    case fault::Site::kDriftOrphan: return "drift.orphan_site";
-  }
-  return "unreachable";
-}
+#define SHALOM_FAULT_SITES(X)        \
+  X(kDriftArmed, "drift.armed_site") \
+  X(kDriftOrphan, "drift.orphan_site")
 typedef enum shalom_status {
   SHALOM_DRIFT_TESTED = 0,
   SHALOM_DRIFT_NO_STRERROR = 1,
@@ -23,11 +18,10 @@ const char* status_string(int code) {
   }
   return "unknown";
 }
-struct RobustnessStats {
-  uint64_t drift_documented_counter;
-  uint64_t drift_orphan_counter;
-  uint64_t drift_untested_counter;
-};
+#define SHALOM_ROBUSTNESS_COUNTERS(X)                          \
+  X(kDriftDocumentedCounter, drift_documented_counter, kCount) \
+  X(kDriftOrphanCounter, drift_orphan_counter, kCount)         \
+  X(kDriftUntestedCounter, drift_untested_counter, kCount)
 const char* fixture_env_keys[] = {"SHALOM_DRIFT_DOCUMENTED_KEY",
                                   "SHALOM_DRIFT_ORPHAN_KEY",
                                   "SHALOM_DRIFT_UNTESTED_KEY"};

@@ -675,7 +675,9 @@ TEST_F(EngineTest, WaitForBoundsTheWaitWithoutConsumingTheTicket) {
   // A zero-budget wait returns immediately; whichever way it resolved,
   // the ticket stays usable and the final wait still succeeds.
   const bool early = t->wait_for(0);
-  if (early) EXPECT_TRUE(t->done());
+  if (early) {
+    EXPECT_TRUE(t->done());
+  }
   EXPECT_EQ(t->wait(), SHALOM_OK);
   EXPECT_TRUE(t->wait_for(0)) << "wait_for after done() must not block";
   busy.run_reference(1.0f, 0.0f);

@@ -14,7 +14,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,6 +31,39 @@
 
 namespace shalom {
 namespace {
+
+/// One case per SHALOM_ROBUSTNESS_COUNTERS row: the counter, its C++
+/// field, its C mirror field and its kind.
+struct CounterCase {
+  Counter id;
+  const char* name;
+  std::uint64_t RobustnessStats::*field;
+  std::uint64_t shalom_stats::*c_field;
+  CounterKind kind;
+};
+constexpr CounterCase kCounterCases[] = {
+#define SHALOM_COUNTER_CASE(id, field, kind)                           \
+  {Counter::id, #field, &RobustnessStats::field, &shalom_stats::field, \
+   CounterKind::kind},
+    SHALOM_ROBUSTNESS_COUNTERS(SHALOM_COUNTER_CASE)
+#undef SHALOM_COUNTER_CASE
+};
+
+/// Checks that both the C++ snapshot and the C copy read `value` for
+/// counter `hot` and 0 for every other row. The C struct is pre-filled
+/// with 0xff bytes, so a field the copy skips fails too.
+void expect_only(std::size_t hot, std::uint64_t value) {
+  const RobustnessStats s = robustness_stats();
+  shalom_stats c;
+  std::memset(&c, 0xff, sizeof c);
+  shalom_get_stats(&c);
+  for (std::size_t i = 0; i < std::size(kCounterCases); ++i) {
+    const CounterCase& row = kCounterCases[i];
+    const std::uint64_t want = i == hot ? value : 0;
+    EXPECT_EQ(s.*row.field, want) << row.name;
+    EXPECT_EQ(c.*row.c_field, want) << row.name;
+  }
+}
 
 class FaultTest : public ::testing::Test {
  protected:
@@ -115,10 +150,22 @@ TEST_F(FaultTest, SpecParsing) {
 }
 
 TEST_F(FaultTest, SiteNames) {
+  // Every SHALOM_FAULT_SITES row round-trips: its name arms exactly its
+  // own site, and disarm_all clears it.
   using fault::Site;
   EXPECT_STREQ(fault::site_name(Site::kAllocPackArena), "alloc.pack_arena");
   EXPECT_STREQ(fault::site_name(Site::kThreadpoolSpawn), "threadpool.spawn");
   EXPECT_STREQ(fault::site_name(Site::kSelfcheckProbe), "selfcheck.probe");
+  for (int s = 0; s < fault::kSiteCount; ++s) {
+    const std::string name = fault::site_name(static_cast<Site>(s));
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(fault::arm_from_spec((name + ":once").c_str()));
+    for (int t = 0; t < fault::kSiteCount; ++t)
+      EXPECT_EQ(fault::armed(static_cast<Site>(t)), t == s) << t;
+    fault::disarm_all();
+    for (int t = 0; t < fault::kSiteCount; ++t)
+      EXPECT_FALSE(fault::armed(static_cast<Site>(t))) << t;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -451,6 +498,39 @@ TEST_F(FaultTest, CStatsEveryCounterReachable) {
 }
 
 // ---------------------------------------------------------------------------
+// Counter table round trip: every row reaches the snapshot, the reset and
+// the C copy, and no row leaks into another's field.
+// ---------------------------------------------------------------------------
+
+TEST(StatsTable, EveryCounterRoundTrips) {
+  constexpr std::size_t kNone = std::size(kCounterCases);
+  std::size_t peak = kNone;
+  for (std::size_t i = 0; i < std::size(kCounterCases); ++i) {
+    const CounterCase& row = kCounterCases[i];
+    SCOPED_TRACE(row.name);
+    if (row.kind == CounterKind::kPeak) peak = i;
+    if (row.kind != CounterKind::kCount) continue;
+    robustness_stats_reset();
+    telemetry::note(row.id);
+    expect_only(i, 1);
+  }
+  // The peak row keeps the largest value observed.
+  ASSERT_NE(peak, kNone);
+  const Counter peak_id = kCounterCases[peak].id;
+  robustness_stats_reset();
+  telemetry::raise_peak(peak_id, 5);
+  telemetry::raise_peak(peak_id, 3);
+  expect_only(peak, 5);
+  telemetry::raise_peak(peak_id, 9);
+  expect_only(peak, 9);
+  // Reset zeroes every row at once.
+  for (const CounterCase& row : kCounterCases)
+    if (row.kind == CounterKind::kCount) telemetry::note(row.id);
+  robustness_stats_reset();
+  expect_only(kNone, 0);
+}
+
+// ---------------------------------------------------------------------------
 // Telemetry snapshot consistency under concurrency (run under TSan via
 // SHALOM_SANITIZE=thread): writers bumping every counter race readers and
 // resetters; no torn reads, no crashes, and after the dust settles one
@@ -470,11 +550,10 @@ TEST(StatsRace, ConcurrentNotesSnapshotsAndResets) {
       while (!go.load()) {
       }
       for (int i = 0; i < kItersPerWriter; ++i) {
-        telemetry::note_fallback_nopack();
-        telemetry::note_threads_degraded();
-        telemetry::note_kernel_quarantined();
-        telemetry::note_selfcheck_run();
-        telemetry::note_numeric_anomaly();
+        for (const CounterCase& row : kCounterCases)
+          if (row.kind == CounterKind::kCount) telemetry::note(row.id);
+        telemetry::raise_peak(Counter::kStreamQueuePeak,
+                              static_cast<std::uint64_t>(i));
       }
     });
   }
@@ -488,8 +567,8 @@ TEST(StatsRace, ConcurrentNotesSnapshotsAndResets) {
         static_cast<std::uint64_t>(kWriters) * kItersPerWriter;
     while (!stop.load()) {
       const RobustnessStats s = robustness_stats();
-      EXPECT_LE(s.fallback_nopack, cap);
-      EXPECT_LE(s.numeric_anomalies, cap);
+      for (const CounterCase& row : kCounterCases)
+        EXPECT_LE(s.*row.field, cap) << row.name;
     }
   });
   // Resetter races the writers through the public C entry point.
@@ -505,13 +584,7 @@ TEST(StatsRace, ConcurrentNotesSnapshotsAndResets) {
   for (std::size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
 
   robustness_stats_reset();
-  const RobustnessStats s = robustness_stats();
-  EXPECT_EQ(s.fallback_nopack, 0u);
-  EXPECT_EQ(s.threads_degraded, 0u);
-  EXPECT_EQ(s.plan_cache_bypassed, 0u);
-  EXPECT_EQ(s.kernels_quarantined, 0u);
-  EXPECT_EQ(s.selfchecks_run, 0u);
-  EXPECT_EQ(s.numeric_anomalies, 0u);
+  expect_only(std::size(kCounterCases), 0);
 }
 
 // ---------------------------------------------------------------------------

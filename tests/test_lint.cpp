@@ -132,15 +132,15 @@ TEST(Lint, EnvAccessFixture) {
 }
 
 TEST(Lint, FaultSiteFixture) {
-  // The fixture's site_name() definition feeds both families: the site is
+  // The fixture's SHALOM_FAULT_SITES row feeds both families: the site is
   // absent from DESIGN.md (fault-site-documented) and never armed in the
   // fake tests/tier1 (registry-drift).
   const std::string f = fixture("fault_site.cpp");
   const LintRun r = run_lint(fixture_flags() + " " + f);
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_EQ(count_lines(r.output), 2) << r.output;
-  expect_finding(r, f, 4, "fault-site-documented");
-  expect_finding(r, f, 4, "registry-drift");
+  expect_finding(r, f, 3, "fault-site-documented");
+  expect_finding(r, f, 3, "registry-drift");
   EXPECT_NE(r.output.find("bogus.site"), std::string::npos) << r.output;
 }
 
@@ -263,14 +263,14 @@ TEST(Lint, RegistryDriftFixture) {
                drift_fixture_flags() + " " + f);
   EXPECT_EQ(r.exit_code, 1);
   EXPECT_EQ(count_lines(r.output), 8) << r.output;
-  expect_finding(r, f, 8, "registry-drift");   // drift.orphan_site unarmed
-  expect_finding(r, f, 14, "registry-drift");  // no strerror entry
-  expect_finding(r, f, 15, "registry-drift");  // no API row
-  expect_finding(r, f, 16, "registry-drift");  // no test mention
-  expect_finding(r, f, 28, "registry-drift");  // undocumented counter
-  expect_finding(r, f, 29, "registry-drift");  // untested counter
-  expect_finding(r, f, 32, "registry-drift");  // undocumented env key
-  expect_finding(r, f, 33, "registry-drift");  // untested env key
+  expect_finding(r, f, 6, "registry-drift");   // drift.orphan_site unarmed
+  expect_finding(r, f, 9, "registry-drift");   // no strerror entry
+  expect_finding(r, f, 10, "registry-drift");  // no API row
+  expect_finding(r, f, 11, "registry-drift");  // no test mention
+  expect_finding(r, f, 23, "registry-drift");  // undocumented counter
+  expect_finding(r, f, 24, "registry-drift");  // untested counter
+  expect_finding(r, f, 26, "registry-drift");  // undocumented env key
+  expect_finding(r, f, 27, "registry-drift");  // untested env key
   EXPECT_NE(r.output.find("drift.orphan_site"), std::string::npos)
       << r.output;
   EXPECT_NE(r.output.find("SHALOM_DRIFT_NO_STRERROR"), std::string::npos)

