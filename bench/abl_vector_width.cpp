@@ -2,15 +2,17 @@
 //
 // Runs the same FP32 GEMM at 128-, 256- and 512-bit vector widths, each
 // with the register tile the analytic model derives for that lane count
-// (7x12 -> 9x16 -> 15x16). On hardware with native wide FMA the GFLOPS
-// should scale with width until the memory system takes over - the
-// behaviour the paper predicts for SVE machines like the A64FX. Widths
-// without native backing run on an emulated (split-half) path and are
-// flagged.
+// (7x12 -> 9x16 -> 15x16), through one plan and loop nest (both operands
+// packed) and the one kern_main template instantiated at each width. On
+// hardware with native wide FMA the GFLOPS should scale with width until
+// the memory system takes over - the behaviour the paper predicts for SVE
+// machines like the A64FX. Widths without native backing run on an
+// emulated (split-half) path and are flagged.
 #include <cstdio>
 
 #include "bench/bench_common.h"
 #include "core/widegemm.h"
+#include "simd/vecwide.h"
 
 int main(int argc, char** argv) {
   using namespace shalom;

@@ -1,11 +1,13 @@
 // Google-benchmark micro-benchmarks for the kernel layer: main
-// micro-kernel variants (full tiles and N-remainder tails), the fused
-// packing kernels and the standalone packing routines, on L1/L2-resident
-// data.
+// micro-kernel variants (full tiles and N-remainder tails, at 128 and 512
+// bits), the fused packing kernels and the standalone packing routines, on
+// L1/L2-resident data.
 //
 // These are developer-facing (regression tracking for the kernel
 // schedules); the paper figures come from the fig* binaries.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "common/rng.h"
 #include "core/dispatch.h"
@@ -99,6 +101,62 @@ void bm_fused_pack_nn(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 
+/// Fused TN: one full-height stripe against transposed-in-place A, packing
+/// its Ac column sliver while it computes (kern_main's A pack hook).
+void bm_fused_pack_tn(benchmark::State& state) {
+  const index_t kc = state.range(0);
+  Matrix<float> at(kc, 7);  // op(A) columns are A storage rows
+  Matrix<float> b(kc, 12);
+  std::vector<float> ac(7 * kc + ukr::kPackSlackElems);
+  Matrix<float> c(7, 12);
+  fill_random(at, 1);
+  fill_random(b, 2);
+  for (auto _ : state) {
+    ukr::run_fused_pack_tn<float>(false, 12, kc, at.data(), at.ld(),
+                                  ac.data(), b.data(), b.ld(), c.data(),
+                                  c.ld(), 1.0f, 0.0f);
+    benchmark::DoNotOptimize(ac.data());
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      2.0 * 7 * 12 * kc * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+/// kern_main at a wider vector width (paper Section 5.5) on the width's
+/// analytic tile, packed A and packed B, as gemm_wide runs it. n_eff = nr
+/// is the full tile; smaller widths run the remainder variants, whose C
+/// tail is a partial (masked) store.
+template <int Bits>
+void bm_wide_tile(benchmark::State& state) {
+  constexpr contracts::Tile t = ukr::family_tile<float>(Bits);
+  const index_t kc = state.range(0);
+  const int n_eff = static_cast<int>(state.range(1));
+  Matrix<float> ap(kc + 1, t.mr);  // packed A sliver plus slack
+  Matrix<float> bp(kc, t.nr);      // packed B sliver
+  Matrix<float> c(t.mr, t.nr);
+  fill_random(ap, 1);
+  fill_random(bp, 2);
+  fill_random(c, 3);
+  for (auto _ : state) {
+    ukr::run_main_tile<float, ukr::AAccess::kPacked, ukr::BAccess::kPacked,
+                       Bits>(t.mr, n_eff, kc, ap.data(), t.mr, bp.data(),
+                             t.nr, c.data(), c.ld(), 1.0f, 1.0f);
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["GFLOPS"] = benchmark::Counter(
+      2.0 * t.mr * n_eff * kc * state.iterations() / 1e9,
+      benchmark::Counter::kIsRate);
+}
+
+/// n_eff = nr (full tile), nr - 1 and 1 at the width's tile.
+template <int Bits>
+void wide_args(benchmark::internal::Benchmark* b) {
+  constexpr int nr = ukr::family_tile<float>(Bits).nr;
+  b->ArgNames({"kc", "n_eff"});
+  for (const int n_eff : {nr, nr - 1, 1}) b->Args({kKc, n_eff});
+}
+
 void bm_fused_pack_nt(benchmark::State& state) {
   const index_t kc = state.range(0);
   Matrix<float> a(7, kc);
@@ -142,7 +200,9 @@ BENCHMARK(bm_main_kernel<ukr::AAccess::kPacked, ukr::BAccess::kPacked>)
     ->Arg(kKc);
 BENCHMARK(bm_main_tail<float>)->Apply(tail_args<float>);
 BENCHMARK(bm_main_tail<double>)->Apply(tail_args<double>);
+BENCHMARK(bm_wide_tile<512>)->Apply(wide_args<512>);
 BENCHMARK(bm_fused_pack_nn)->Arg(kKc);
+BENCHMARK(bm_fused_pack_tn)->Arg(kKc);
 BENCHMARK(bm_fused_pack_nt)->Arg(kKc);
 BENCHMARK(bm_pack_b_n)->Arg(kKc);
 

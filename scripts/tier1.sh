@@ -132,7 +132,7 @@ cmake -B build-hsw -S . \
       -DSHALOM_BUILD_EXAMPLES=OFF
 cmake --build build-hsw -j "${JOBS}"
 ctest --test-dir build-hsw --output-on-failure -j "${JOBS}" \
-      -R 'Simd|Micro|Wide|Correct|Property|fuzz|Selfcheck|Quarantine'
+      -R 'Simd|MainKernel|FusedPack|PackHook|ScalarKernel|Wide|Correct|Property|fuzz|Selfcheck|Quarantine'
 
 echo "=== tier1: ASan build, fault + stress + fuzz labels ==="
 cmake -B build-asan -S . \

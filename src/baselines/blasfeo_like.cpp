@@ -72,11 +72,13 @@ void blasfeo_gemm(Mode mode, index_t M, index_t N, index_t K, T alpha,
       T* c_tile = C + i0 * ldc + j0;
       if (convert_a) {
         const T* a_sliver = ac + (i0 / MR) * pack::a_sliver_elems(K, MR);
-        ukr::run_main_tile<T, AAccess::kPacked, BAccess::kPacked, MR, NRV>(
+        ukr::run_main_tile<T, AAccess::kPacked, BAccess::kPacked, 128,
+                           ukr::Pack{}, MR, NRV>(
             m_eff, n_eff, K, a_sliver, MR, b_sliver, NR, c_tile, ldc, alpha,
             beta);
       } else {
-        ukr::run_main_tile<T, AAccess::kDirect, BAccess::kPacked, MR, NRV>(
+        ukr::run_main_tile<T, AAccess::kDirect, BAccess::kPacked, 128,
+                           ukr::Pack{}, MR, NRV>(
             m_eff, n_eff, K, A + i0 * lda, lda, b_sliver, NR, c_tile, ldc,
             alpha, beta);
       }

@@ -94,10 +94,10 @@ void goto_gemm(Mode mode, index_t M, index_t N, index_t K, T alpha,
                   m_eff, n_eff, kcur, a_sliver, MR, b_sliver, NR, c_tile,
                   ldc, alpha, beta_eff);
             } else {
-              ukr::run_main_tile<T, AAccess::kPacked, BAccess::kPacked, MR,
-                                 NRV>(m_eff, n_eff, kcur, a_sliver, MR,
-                                      b_sliver, NR, c_tile, ldc, alpha,
-                                      beta_eff);
+              ukr::run_main_tile<T, AAccess::kPacked, BAccess::kPacked, 128,
+                                 ukr::Pack{}, MR, NRV>(
+                  m_eff, n_eff, kcur, a_sliver, MR, b_sliver, NR, c_tile,
+                  ldc, alpha, beta_eff);
             }
           }
         }

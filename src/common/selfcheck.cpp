@@ -13,10 +13,10 @@
 // disqualified as an inaccurate one.
 //
 // Layering note: this file lives in shalom_common, which does NOT link
-// shalom_core. It may only instantiate header-only templates
-// (core/dispatch.h kernels, core/widegemm.h's wide_tile); referencing any
-// symbol compiled into shalom_core (pack.cpp, model.cpp) would break the
-// link.
+// shalom_core. It may only instantiate header-only templates (the
+// core/dispatch.h kernel tables, every width included); referencing any
+// symbol compiled into shalom_core (pack.cpp, model.cpp, plan.cpp) would
+// break the link.
 
 #include "common/selfcheck.h"
 
@@ -218,7 +218,7 @@ void run_tile(const Tile<row_t<I>>& t) {
   using T = row_t<I>;
   if constexpr (r.kind == Kind::kMain || r.kind == Kind::kEdge) {
     ukr::run_main_tile<T, static_cast<ukr::AAccess>(r.a),
-                       static_cast<ukr::BAccess>(r.b)>(
+                       static_cast<ukr::BAccess>(r.b), r.width>(
         t.m_eff, t.n_eff, t.kc, t.a, t.lda, t.b, t.ldb, t.c, t.ldc, t.alpha,
         t.beta);
   } else if constexpr (r.kind == Kind::kFusedNn) {
@@ -230,7 +230,7 @@ void run_tile(const Tile<row_t<I>>& t) {
     ukr::run_fused_pack_tn<T>(t.b_access == Access::kPacked, t.n_eff, t.kc,
                               t.a, t.lda, t.side, t.b, t.ldb, t.c, t.ldc,
                               t.alpha, t.beta);
-  } else if constexpr (r.kind == Kind::kFusedNt) {
+  } else {  // Kind::kFusedNt
     // As core/plan.cpp does: zero an edge sliver, then pack its column
     // groups of (up to) 3.
     if (t.n_eff < ukr::kNrFull<T>)
@@ -241,9 +241,6 @@ void run_tile(const Tile<row_t<I>>& t) {
                                 jofs, ukr::kNrFull<T>, jofs + w < t.n_eff,
                                 t.c, t.ldc, t.alpha, t.beta);
     }
-  } else {
-    wide::wide_tile<r.width>(t.m_eff, t.n_eff, t.kc, t.a, t.b, t.c, t.ldc,
-                             t.alpha, t.beta);
   }
 }
 

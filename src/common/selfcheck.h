@@ -2,19 +2,22 @@
 // numerical guard.
 //
 // Dispatch multiplies kernel variants: MainTable (core/dispatch.h) holds 42
-// kern_main instantiations per element type and access pair, covering the
-// 83 FP32 / 41 FP64 remainder tiles with the tail's lane count passed at
-// run time, and the fused NN/NT/TN and wide-vector kernels come on top. A
-// single miscompiled variant corrupts results silently, so every variant
-// family is probed against a double-precision reference on small
-// deterministic tiles (selfcheck_probe.h), and a variant that fails is
-// *quarantined*: dispatch and plan building route around it to the
-// next-best verified kernel (ultimately scalar).
+// 128-bit kern_main instantiations per element type and access pair,
+// covering the 83 FP32 / 41 FP64 remainder tiles with the tail's lane count
+// passed at run time; the 256- and 512-bit FP32 packed-packed families
+// (36 and 30 instantiations, every remainder of the 9x16 and 15x16 tiles)
+// and the fused pack hooks and fused NT kernel come on top. A single
+// miscompiled variant corrupts results silently, so every variant family
+// is probed against a double-precision reference on small deterministic
+// tiles (selfcheck_probe.h; an edge row runs every remainder tile, so
+// every kern_main instantiation without a pack hook is probed), and a
+// variant that fails is *quarantined*: dispatch and plan building route
+// around it to the next-best verified kernel (ultimately scalar).
 //
 // The variant set is one list (SHALOM_SELFCHECK_VARIANTS below): each row
 // names a family's id, kind, element type, vector width and operand
 // accesses, and the enum, the names, the probe dispatch and the dispatch
-// layer's (kind, type, access) -> id lookups are generated from it.
+// layer's (kind, type, width, access) -> id lookups are generated from it.
 //
 // Probing is lazy by default (first dispatch of a variant pays one probe,
 // cached in a per-variant atomic tri-state) or eager via run_all() /
@@ -37,9 +40,9 @@ namespace shalom {
 namespace selfcheck {
 
 /// What a variant's kernels compute: the kern_main full tile or its
-/// remainder-tile (edge) instantiations, one of the fused pack-and-compute
-/// kernels (paper Section 5.3), or a wide-vector tile (Section 5.5).
-enum class Kind : int { kMain, kEdge, kFusedNn, kFusedNt, kFusedTn, kWide };
+/// remainder-tile (edge) instantiations, at one vector width (Section
+/// 5.5), or one of the fused pack-and-compute kernels (Section 5.3).
+enum class Kind : int { kMain, kEdge, kFusedNn, kFusedNt, kFusedTn };
 
 enum class Dtype : int { kF32, kF64 };
 
@@ -102,9 +105,14 @@ enum class Access : int { kDirect, kPacked, kTrans, kAny };
   X(kFusedNtF64, "fused-nt.f64", kFusedNt, kF64, 128, kDirect, kTrans)      \
   X(kFusedTnF32, "fused-tn.f32", kFusedTn, kF32, 128, kTrans, kAny)         \
   X(kFusedTnF64, "fused-tn.f64", kFusedTn, kF64, 128, kTrans, kAny)         \
-  X(kWide128, "wide.128", kWide, kF32, 128, kPacked, kPacked)               \
-  X(kWide256, "wide.256", kWide, kF32, 256, kPacked, kPacked)               \
-  X(kWide512, "wide.512", kWide, kF32, 512, kPacked, kPacked)
+  X(kMainF32PackedPacked256, "main.f32.packed-packed.256", kMain, kF32, 256, \
+    kPacked, kPacked)                                                       \
+  X(kEdgeF32PackedPacked256, "edge.f32.packed-packed.256", kEdge, kF32, 256, \
+    kPacked, kPacked)                                                       \
+  X(kMainF32PackedPacked512, "main.f32.packed-packed.512", kMain, kF32, 512, \
+    kPacked, kPacked)                                                       \
+  X(kEdgeF32PackedPacked512, "edge.f32.packed-packed.512", kEdge, kF32, 512, \
+    kPacked, kPacked)
 
 /// Every probe-able kernel family, in list order (the per-variant state
 /// in selfcheck.cpp is indexed by the enum value).
@@ -157,8 +165,8 @@ enum class Status : int {
   kQuarantined = 2,
 };
 
-/// Stable human-readable name ("main.f32.packed-packed", "wide.256", ...);
-/// never NULL.
+/// Stable human-readable name ("main.f32.packed-packed",
+/// "edge.f32.packed-packed.256", ...); never NULL.
 const char* variant_name(Variant v) noexcept;
 
 /// Current state without triggering a probe.
@@ -217,14 +225,6 @@ void set_probe_body_for_testing(bool (*fn)(Variant)) noexcept;
 /// treat quarantine as permanent. Callers holding plans must rebuild them
 /// (plans snapshot quarantine decisions at build time).
 void reset_for_testing() noexcept;
-
-/// Maps a wide-vector width in bits to its variant id (128 for a width
-/// without a row).
-constexpr Variant wide_variant(int bits) {
-  const int v = find_variant(Kind::kWide, Dtype::kF32, bits,
-                             Access::kPacked, Access::kPacked);
-  return v >= 0 ? static_cast<Variant>(v) : Variant::kWide128;
-}
 
 }  // namespace selfcheck
 

@@ -11,7 +11,6 @@
 
 #include "common/selfcheck.h"
 #include "core/kernel_contracts.h"
-#include "core/widegemm.h"
 
 namespace shalom::selfcheck::probe {
 
@@ -46,13 +45,17 @@ struct TileCase {
 /// fused NT scatters B^T into it) or Ac with its tail slack (fused TN).
 enum class Side : int { kNone, kPackB, kPackA };
 
+/// The largest register tile a row probes: the 512-bit FP32 tile.
+inline constexpr contracts::Tile kWidestTile =
+    contracts::solve_tile(contracts::kVectorRegisters, 16);
+
 /// One row of the case table; `tiles` holds up to every remainder tile of
-/// the FP32 128-bit register tile.
+/// the widest register tile.
 struct Cases {
   int mr, nr;  // the kind's register tile: C rows and sliver widths
   Access a;    // how the kernel reads A
   List<index_t, 4> kcs;
-  List<TileCase, contracts::kTileF32.mr * contracts::kTileF32.nr> tiles;
+  List<TileCase, kWidestTile.mr * kWidestTile.nr> tiles;
   List<AlphaBeta, 3> abs;
   Side side;
 };
@@ -90,16 +93,13 @@ constexpr Cases cases_of(Kind kind, Access a, Access b, int mr, int nr,
                {mr, 3, kPk, false}, {mr, 1, kPk, false}},
               {kOverwrite, kAccumulate}, Side::kPackA};
     case Kind::kFusedNt:
-      return {mr, nr, a, {L, 2 * L + 3, 35},
-              {{mr, nr, b, false}, {mr, nr - 1, b, false},
-               {mr, 4, b, false}, {mr, 1, b, false}},
-              {kOverwrite, kScaled}, Side::kPackB};
-    case Kind::kWide:
       break;
   }
-  return {mr, nr, a, {1, 5, 17},
-          {{mr, nr, b, false}, {mr - 2, nr - 3, b, false}, {1, 1, b, false}},
-          {kOverwrite, kScaled}, Side::kNone};
+  // Kind::kFusedNt
+  return {mr, nr, a, {L, 2 * L + 3, 35},
+          {{mr, nr, b, false}, {mr, nr - 1, b, false},
+           {mr, 4, b, false}, {mr, 1, b, false}},
+          {kOverwrite, kScaled}, Side::kPackB};
 }
 
 /// One laid-out probe tile, as a runner receives it.
@@ -133,19 +133,15 @@ template <int I>
 using row_t =
     std::conditional_t<kVariants[I].dtype == Dtype::kF64, double, float>;
 
-/// The case-table row of variant row I, at the row's own register tile.
+/// The case-table row of variant row I, at the row's own register tile:
+/// the analytic tile of its element type at its width.
 template <int I>
 constexpr Cases row_cases() {
   constexpr VariantRow r = kVariants[I];
-  if constexpr (r.kind == Kind::kWide) {
-    constexpr int L = r.width / 32;
-    return cases_of(r.kind, r.a, r.b, wide::WideTile<r.width>::kMr,
-                    wide::WideTile<r.width>::kNrv * L, L);
-  } else {
-    constexpr int L = simd::vec_of_t<row_t<I>>::kLanes;
-    return cases_of(r.kind, r.a, r.b, contracts::kMaxMr,
-                    contracts::kMaxNrv * L, L);
-  }
+  constexpr int L = r.width / (8 * static_cast<int>(sizeof(row_t<I>)));
+  constexpr contracts::Tile t =
+      contracts::solve_tile(contracts::kVectorRegisters, L);
+  return cases_of(r.kind, r.a, r.b, t.mr, t.nr, L);
 }
 
 /// The runner of variant row I: one tile through the row's kernel family,

@@ -2,15 +2,16 @@
 // register tiling, Section 6 partitioning) as constexpr validators, plus
 // the single source of truth for the constants those sections fix.
 //
-// Every micro-kernel registration site (dispatch.h tables, the kernel
-// templates in microkernel.h, the WideTile specializations in widegemm.h)
-// applies these via static_assert, so a tile or variant that violates the
+// Every micro-kernel registration site (the dispatch.h tables at every
+// vector width, the kernel templates in microkernel.h) applies these via
+// static_assert, so a tile or variant that violates the
 // model fails to compile with a message naming the violated inequality
 // instead of shipping a kernel that silently spills registers or leaves
 // remainder tiles undispatchable.
 //
 // Inequalities enforced (32 ASIMD vector registers, j lanes per vector;
-// j = 4 for FP32 / 2 for FP64 at 128 bits):
+// j = 4 for FP32 / 2 for FP64 at 128 bits, 8 / 16 for FP32 at 256 / 512
+// bits, whose tiles solve_tile derives the same way: 9x16 and 15x16):
 //
 //   Register budget (Eq. 1):   mr + nr/j + mr*nr/j <= 31
 //     mr*(nr/j) accumulators + nr/j B-vector loads + mr A broadcasts must
@@ -33,8 +34,8 @@ namespace shalom::contracts {
 
 // -------------------------------------------------------------------------
 // Machine constants (ARMv8 ASIMD baseline the whole library is tiled for).
-// model.cpp, dispatch.h and widegemm.h all derive from these; do not
-// duplicate the literals at use sites.
+// model.cpp, dispatch.h (every width's family tile) and the selfcheck case
+// table all derive from these; do not duplicate the literals at use sites.
 // -------------------------------------------------------------------------
 
 /// Architectural vector register count (ARMv8 ASIMD: v0..v31).
@@ -53,10 +54,11 @@ inline constexpr int kRegisterBudget = kVectorRegisters - kReservedRegisters;
 /// clamped to the same bound so tuner and model explore one space.
 inline constexpr index_t kMaxKc = 512;
 
-/// Extra elements allocated past every packed buffer so overlapping
-/// packed-A vector loads (kern_fused_pack_tn's two-store trick) may read
-/// one full vector beyond the last column. Must cover the widest 128-bit
-/// lane count (4 FP32 lanes); 8 leaves headroom for a 256-bit port.
+/// Extra elements allocated past every packed buffer so packed-A vector
+/// loads (and the A pack hook's overlapping two-store trick) may read one
+/// full vector beyond the last column. Must cover the widest 128-bit lane
+/// count (4 FP32 lanes); the 256/512-bit kernels broadcast packed A from
+/// memory and read no slack.
 inline constexpr index_t kPackSlackElems = 8;
 
 // -------------------------------------------------------------------------

@@ -1,18 +1,24 @@
 // Register-blocked micro-kernels (paper Section 5).
 //
-// Three kernel families, exactly as the paper structures them:
+// Two kernel templates, exactly as the paper structures them:
 //
-//  1. kern_main      - the mr x nr outer-product kernel (Algorithm 2).
-//                      Template policies select how each operand is read:
-//                      A direct (row-major, the NN/NT no-pack-A path) or
-//                      packed (column slivers, the TN/TT path); B direct
-//                      (row-major, the small-B no-pack path) or packed
-//                      (row slivers).
-//  2. kern_fused_pack_nn - Algorithm 1 lines 6-8: computes the first
-//                      mr-row stripe of C while copying the B rows it
-//                      loads into the packed buffer Bc, optionally packing
-//                      one sliver ahead (t = 1, Section 5.3.2 / Fig. 4).
-//  3. kern_fused_pack_nt - Algorithm 3 / Fig. 5: the 7x3 inner-product
+//  1. kern_main      - the mr x nr outer-product kernel (Algorithm 2), the
+//                      one register-tile body for every width and every
+//                      fused pack. Compile-time parameters select:
+//                      * how each operand is read: A direct (row-major,
+//                        the NN/NT no-pack-A path), packed (column slivers)
+//                        or transposed in place (the TN/TT path); B direct
+//                        (row-major, the small-B no-pack path) or packed
+//                        (row slivers);
+//                      * the vector width: 128 bits for FP32/FP64, 256 and
+//                        512 bits for FP32 (Section 5.5: a longer vector
+//                        only needs the model's revised tile);
+//                      * a pack hook (Section 5.3): the kernel stores what
+//                        it loads into a packed sliver while it computes -
+//                        the B rows (Algorithm 1 lines 6-8, optionally
+//                        with the next sliver, t = 1 / Fig. 4) or the
+//                        transposed A columns (Section 4.3, TN/TT).
+//  2. kern_fused_pack_nt - Algorithm 3 / Fig. 5: the 7x3 inner-product
 //                      kernel that updates C while scattering B^T into Bc.
 //
 // Plus kern_scalar, the deliberately unscheduled fallback used when the
@@ -31,7 +37,7 @@
 
 #include "common/matrix.h"
 #include "core/kernel_contracts.h"
-#include "simd/vec128.h"
+#include "simd/vecwide.h"
 
 #define SHALOM_RESTRICT __restrict__
 // Lambdas in kernel bodies rely on -O3 inlining; the macro marks intent.
@@ -56,6 +62,23 @@ enum class BAccess {
                  ///<  place: the no-pack NT/TT path; kern_scalar only)
 };
 
+/// A kern_main pack hook: what the kernel stores, besides C, from the
+/// operand vectors it has just loaded (paper Section 5.3). The default
+/// stores nothing.
+struct Pack {
+  /// The B rows just loaded, into the packed B sliver `packed` (row
+  /// stride: the width's full sliver, tail columns zero-padded).
+  bool b = false;
+  /// Row k of the next, full-width sliver (`b_next`, row stride
+  /// `ldb_next`) into `packed_next`: pack-ahead t = 1 (Section 5.3.2).
+  bool ahead = false;
+  /// The transposed-A columns just loaded, into the packed A sliver
+  /// `packed` (layout packed[k*MR + i], the canonical column-sliver format).
+  bool a = false;
+
+  constexpr bool none() const { return !b && !ahead && !a; }
+};
+
 /// Invokes f(integral_constant<int,0>), ..., f(integral_constant<int,N-1>).
 template <int N, class F>
 SHALOM_INLINE void unroll(F&& f) {
@@ -73,17 +96,34 @@ inline constexpr index_t kPackSlackElems = contracts::kPackSlackElems;
 // Main micro-kernel (Algorithm 2)
 // ---------------------------------------------------------------------------
 
-/// mr x n_eff register tile, n_eff = NRV*lanes + ntail.
-/// NTail selects whether a final partial vector exists; `ntail` (1..lanes-1)
-/// is its lane count and is ignored when !NTail.
-template <typename T, int MR, int NRV, bool NTail, AAccess AA, BAccess BA>
+/// mr x n_eff register tile of Bits-wide vectors, n_eff = NRV*lanes +
+/// ntail. NTail selects whether a final partial vector exists; `ntail`
+/// (1..lanes-1) is its lane count and is ignored when !NTail. `packed`,
+/// `b_next`, `ldb_next` and `packed_next` are the pack hook's destinations
+/// and source (see Pack); a kernel without a hook ignores them.
+///
+/// The B hook issues its stores between the B loads and the FMAs of every
+/// k step, and the A hook between the A loads and the B loads, so the OoO
+/// core overlaps them with compute - the key difference from
+/// pack-then-compute libraries (Section 5.3). A hook runs on full-height
+/// stripes (the driver's first stripe of a sliver, or the stripes of its
+/// first sliver). All widths are compile-time so the loop body is
+/// branch-free straight-line code; anything runtime-bounded here makes GCC
+/// spill the 21 accumulators.
+template <typename T, int MR, int NRV, bool NTail, AAccess AA, BAccess BA,
+          int Bits = 128, Pack P = Pack{}>
 void kern_main(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
                const T* SHALOM_RESTRICT b, index_t ldb,
                T* SHALOM_RESTRICT c, index_t ldc, T alpha, T beta,
-               int ntail) {
-  using V = simd::vec_of_t<T>;
+               int ntail, T* SHALOM_RESTRICT packed,
+               const T* SHALOM_RESTRICT b_next, index_t ldb_next,
+               T* SHALOM_RESTRICT packed_next) {
+  using V = simd::vec_of_t<T, Bits>;
   constexpr int L = V::kLanes;
   constexpr int NV = NRV + (NTail ? 1 : 0);
+  // Vectors per row of a full packed B sliver: the width's analytic tile.
+  constexpr int NVFull =
+      contracts::solve_tile(contracts::kVectorRegisters, L).nr / L;
   static_assert(MR >= 1 && NV >= 1);
   static_assert(BA != BAccess::kDirectTrans,
                 "in-place transposed B has no vectorized kernel");
@@ -91,12 +131,24 @@ void kern_main(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
                 "register budget violated: mr + nr/j + mr*nr/j <= 31 "
                 "(paper Eq. 1: MR*NV accumulators + NV B loads + MR A "
                 "broadcasts must fit 32 vector registers minus one "
-                "reserved for prefetch)");
+                "reserved for prefetch; a pack hook reuses the load "
+                "registers as its source, so the same budget holds)");
+  static_assert(Bits == 128 || (AA == AAccess::kPacked && P.none()),
+                "wider vectors read packed A only, without a pack hook");
+  static_assert(!(P.b || P.ahead) || (AA == AAccess::kDirect && NV <= NVFull),
+                "the B pack hook computes from in-place A and packs "
+                "slivers no wider than the full sliver");
+  static_assert(!P.a || (AA == AAccess::kDirectTrans && MR >= L),
+                "the A pack hook packs full-height transposed-A stripes");
   (void)ntail;
+  (void)packed;
+  (void)b_next;
+  (void)ldb_next;
+  (void)packed_next;
 
   V acc[MR][NV];
   unroll<MR>([&](auto i) {
-    unroll<NV>([&](auto jv) { acc[i][jv] = simd::zero_vec<T>(); });
+    unroll<NV>([&](auto jv) { acc[i][jv] = simd::zero_vec<T, Bits>(); });
   });
 
   // Loads one vector of row k of op(B). The packed layout is zero-padded,
@@ -104,9 +156,32 @@ void kern_main(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
   auto load_b = [&](index_t k, auto jv) SHALOM_INLINE_LAMBDA {
     const T* row = b + k * ldb + jv * L;
     if constexpr (NTail && BA == BAccess::kDirect) {
-      if constexpr (jv == NV - 1) return simd::load_partial(row, ntail);
+      if constexpr (jv == NV - 1)
+        return simd::load_partial<Bits>(row, ntail);
     }
-    return simd::load(row);
+    return simd::load<Bits>(row);
+  };
+
+  // B pack hook (Fig. 4, steps 1/2): row k of the current sliver, the
+  // tail columns zero-padded, and row k of the next sliver when packing
+  // ahead. Plain load->store pairs; fully unrolled.
+  auto pack_b = [&](index_t k, const V (&bv)[NV]) SHALOM_INLINE_LAMBDA {
+    if constexpr (P.b) {
+      T* dst = packed + k * (NVFull * L);
+      unroll<NV>([&](auto jv) { simd::store(dst + jv * L, bv[jv]); });
+      if constexpr (NV < NVFull) {
+        unroll<NVFull - NV>([&](auto z) {
+          simd::store(dst + (NV + z) * L, simd::zero_vec<T, Bits>());
+        });
+      }
+    }
+    if constexpr (P.ahead) {
+      const T* src = b_next + k * ldb_next;
+      T* dst = packed_next + k * (NVFull * L);
+      unroll<NVFull>([&](auto jv) {
+        simd::store(dst + jv * L, simd::load<Bits>(src + jv * L));
+      });
+    }
   };
 
   index_t k = 0;
@@ -117,10 +192,12 @@ void kern_main(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
     for (; k + L <= kc; k += L) {
       V av[MR];
       unroll<MR>([&](auto i) { av[i] = simd::load(a + i * lda + k); });
-      simd::prefetch_read(a + k + 2 * L);
+      // The B hook's stores take this slot (no prefetch while packing).
+      if constexpr (P.none()) simd::prefetch_read(a + k + 2 * L);
       unroll<L>([&](auto l) {
         V bv[NV];
         unroll<NV>([&](auto jv) { bv[jv] = load_b(k + l, jv); });
+        pack_b(k + l, bv);
         unroll<MR>([&](auto i) {
           unroll<NV>([&](auto jv) {
             acc[i][jv] = simd::fmadd_lane<l>(acc[i][jv], av[i], bv[jv]);
@@ -131,6 +208,7 @@ void kern_main(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
     for (; k < kc; ++k) {
       V bv[NV];
       unroll<NV>([&](auto jv) { bv[jv] = load_b(k, jv); });
+      pack_b(k, bv);
       unroll<MR>([&](auto i) {
         const V as = simd::broadcast(a[i * lda + k]);
         unroll<NV>([&](auto jv) {
@@ -138,9 +216,10 @@ void kern_main(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
         });
       });
     }
-  } else if constexpr (AA == AAccess::kPacked) {
+  } else if constexpr (AA == AAccess::kPacked && Bits == 128) {
     // Packed A: each k step reads one zero-padded column sliver of length
-    // mr; ceil(MR/L) vector loads cover it (slack allows the full load).
+    // mr; ceil(MR/L) vector loads cover it (slack allows the full load),
+    // consumed lane by lane (FMLA by element).
     constexpr int AV = (MR + L - 1) / L;
     for (; k < kc; ++k) {
       const T* col = a + k * lda;
@@ -152,6 +231,21 @@ void kern_main(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
         unroll<NV>([&](auto jv) {
           acc[i][jv] =
               simd::fmadd_lane<i % L>(acc[i][jv], av[i / L], bv[jv]);
+        });
+      });
+    }
+  } else if constexpr (AA == AAccess::kPacked) {
+    // Packed A at the wider widths: the broadcast-from-memory form natural
+    // to wide ISAs - per k, NV B loads, then MR scalar broadcasts from the
+    // packed A column, each feeding NV FMAs.
+    for (; k < kc; ++k) {
+      const T* col = a + k * lda;
+      V bv[NV];
+      unroll<NV>([&](auto jv) { bv[jv] = load_b(k, jv); });
+      unroll<MR>([&](auto i) {
+        const V as = simd::broadcast<Bits>(col[i]);
+        unroll<NV>([&](auto jv) {
+          acc[i][jv] = simd::fmadd(acc[i][jv], as, bv[jv]);
         });
       });
     }
@@ -172,6 +266,16 @@ void kern_main(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
           av[g] = simd::load(col + base);
         });
       }
+      if constexpr (P.a) {
+        // A pack hook: the overlapping loads double as the pack source;
+        // the overlapped vectors rewrite the shared rows with identical
+        // values.
+        T* dst = packed + k * MR;
+        unroll<AV>([&](auto g) {
+          constexpr int base = (g == AV - 1) ? MR - L : g * L;
+          simd::store(dst + base, av[g]);
+        });
+      }
       V bv[NV];
       unroll<NV>([&](auto jv) { bv[jv] = load_b(k, jv); });
       unroll<MR>([&](auto i) {
@@ -187,8 +291,8 @@ void kern_main(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
   }
 
   // C update: C = beta*C + alpha*acc on the real (not padded) tile.
-  const V valpha = simd::broadcast(alpha);
-  const V vbeta = simd::broadcast(beta);
+  const V valpha = simd::broadcast<Bits>(alpha);
+  const V vbeta = simd::broadcast<Bits>(beta);
   unroll<MR>([&](auto i) {
     unroll<NV>([&](auto jv) {
       T* cp = c + i * ldc + jv * L;
@@ -196,144 +300,12 @@ void kern_main(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
       if constexpr (NTail) {
         if constexpr (jv == NV - 1) {
           if (beta != T{0})
-            r = simd::fmadd(r, simd::load_partial(cp, ntail), vbeta);
+            r = simd::fmadd(r, simd::load_partial<Bits>(cp, ntail), vbeta);
           simd::store_partial(cp, r, ntail);
           return;
         }
       }
-      if (beta != T{0}) r = simd::fmadd(r, simd::load(cp), vbeta);
-      simd::store(cp, r);
-    });
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Fused NN packing kernel (Algorithm 1 lines 6-8, Fig. 4)
-// ---------------------------------------------------------------------------
-
-/// Computes the first MR-row stripe of C against B while storing every
-/// loaded B vector into the packed sliver `bc` (row stride NRFull,
-/// zero-padded).  With Ahead = true the kernel also streams the *next*
-/// sliver's rows (guaranteed full width by the driver) into `bc_next`
-/// (pack-ahead t = 1, Section 5.3.2: irregular-shaped inputs whose next
-/// sliver would otherwise miss in cache and TLB).  The pack stores are
-/// interleaved between the FMA groups so the OoO core overlaps them with
-/// compute - the key difference from pack-then-compute libraries
-/// (Section 5.3).
-///
-/// PackCur = false is the steady state of the t = 1 pipeline: the current
-/// sliver was packed by the previous iteration, so `b` points at the
-/// packed sliver itself (ldb == NRFull) and only the pack-ahead copy
-/// runs; PackCur = true additionally writes the current sliver (t = 0,
-/// and the pipeline prologue / edge slivers).
-///
-/// All widths are compile-time so the loop body is branch-free straight-
-/// line code; anything runtime-bounded here makes GCC spill the 21
-/// accumulators.
-template <typename T, int MR, int NRV, bool NTail, bool PackCur, bool Ahead,
-          int NRFull>
-void kern_fused_pack_nn(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
-                        const T* SHALOM_RESTRICT b, index_t ldb,
-                        T* SHALOM_RESTRICT bc,
-                        const T* SHALOM_RESTRICT b_next, index_t ldb_next,
-                        T* SHALOM_RESTRICT bc_next, T* SHALOM_RESTRICT c,
-                        index_t ldc, T alpha, T beta, int ntail) {
-  using V = simd::vec_of_t<T>;
-  constexpr int L = V::kLanes;
-  constexpr int NV = NRV + (NTail ? 1 : 0);
-  constexpr int NVFull = NRFull / L;
-  static_assert(NV * L <= NRFull);
-  static_assert(contracts::fits_register_budget(MR, NV),
-                "register budget violated: mr + nr/j + mr*nr/j <= 31 "
-                "(paper Eq. 1; the fused NN pack reuses the B-load "
-                "registers as the pack source, so the same budget holds)");
-  static_assert(contracts::divides_pack_stride(NRFull, L),
-                "pack-stride divisibility violated: nr % j == 0 (packed B "
-                "row slivers are read as whole vectors)");
-  (void)ntail;
-  (void)bc;
-  (void)b_next;
-  (void)ldb_next;
-  (void)bc_next;
-
-  V acc[MR][NV];
-  unroll<MR>([&](auto i) {
-    unroll<NV>([&](auto jv) { acc[i][jv] = simd::zero_vec<T>(); });
-  });
-
-  auto load_b = [&](index_t k, auto jv) SHALOM_INLINE_LAMBDA {
-    const T* row = b + k * ldb + jv * L;
-    if constexpr (NTail) {
-      if constexpr (jv == NV - 1) return simd::load_partial(row, ntail);
-    }
-    return simd::load(row);
-  };
-
-  // Packs row k of the current sliver (zero-padding the tail columns) and,
-  // when Ahead, copies row k of the next (full-width) sliver. Plain
-  // load->store pairs between the FMA groups; fully unrolled.
-  auto pack_rows = [&](index_t k, const V (&bv)[NV]) SHALOM_INLINE_LAMBDA {
-    if constexpr (PackCur) {
-      T* dst = bc + k * NRFull;
-      unroll<NV>([&](auto jv) { simd::store(dst + jv * L, bv[jv]); });
-      if constexpr (NV < NVFull) {
-        unroll<NVFull - NV>([&](auto z) {
-          simd::store(dst + (NV + z) * L, simd::zero_vec<T>());
-        });
-      }
-    }
-    if constexpr (Ahead) {
-      const T* src = b_next + k * ldb_next;
-      T* dst = bc_next + k * NRFull;
-      unroll<NVFull>(
-          [&](auto jv) { simd::store(dst + jv * L, simd::load(src + jv * L)); });
-    }
-  };
-
-  index_t k = 0;
-  for (; k + L <= kc; k += L) {
-    V av[MR];
-    unroll<MR>([&](auto i) { av[i] = simd::load(a + i * lda + k); });
-    unroll<L>([&](auto l) {
-      V bv[NV];
-      unroll<NV>([&](auto jv) { bv[jv] = load_b(k + l, jv); });
-      // Pack stores issue between the load group and the FMA group
-      // (steps 1/2 of Fig. 4).
-      pack_rows(k + l, bv);
-      unroll<MR>([&](auto i) {
-        unroll<NV>([&](auto jv) {
-          acc[i][jv] = simd::fmadd_lane<l>(acc[i][jv], av[i], bv[jv]);
-        });
-      });
-    });
-  }
-  for (; k < kc; ++k) {
-    V bv[NV];
-    unroll<NV>([&](auto jv) { bv[jv] = load_b(k, jv); });
-    pack_rows(k, bv);
-    unroll<MR>([&](auto i) {
-      const V as = simd::broadcast(a[i * lda + k]);
-      unroll<NV>([&](auto jv) {
-        acc[i][jv] = simd::fmadd(acc[i][jv], as, bv[jv]);
-      });
-    });
-  }
-
-  const V valpha = simd::broadcast(alpha);
-  const V vbeta = simd::broadcast(beta);
-  unroll<MR>([&](auto i) {
-    unroll<NV>([&](auto jv) {
-      T* cp = c + i * ldc + jv * L;
-      V r = simd::mul(acc[i][jv], valpha);
-      if constexpr (NTail) {
-        if constexpr (jv == NV - 1) {
-          if (beta != T{0})
-            r = simd::fmadd(r, simd::load_partial(cp, ntail), vbeta);
-          simd::store_partial(cp, r, ntail);
-          return;
-        }
-      }
-      if (beta != T{0}) r = simd::fmadd(r, simd::load(cp), vbeta);
+      if (beta != T{0}) r = simd::fmadd(r, simd::load<Bits>(cp), vbeta);
       simd::store(cp, r);
     });
   });
@@ -435,93 +407,6 @@ void kern_fused_pack_nt(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
       const T total = simd::reduce_add(acc[i][cb]) + tail_acc[i][cb];
       T* cp = c + i * ldc + jofs + cb;
       *cp = (beta == T{0}) ? alpha * total : beta * *cp + alpha * total;
-    });
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Fused TN/TT packing kernel (Section 4.3: "for TN mode, we apply the
-// same strategy used for the NT mode to pack matrix A")
-// ---------------------------------------------------------------------------
-
-/// Outer-product kernel over transposed-in-place A that simultaneously
-/// streams the loaded op(A) columns into the packed sliver `ac`
-/// (layout ac[k*MR + i], the canonical column-sliver format), so later
-/// column slivers of the same block reuse Ac without ever paying a
-/// separate packing pass. The overlapping A loads double as the pack
-/// source: two stores per k (at +0 and +MR-L, overlapping on the shared
-/// rows) write the full column. Requires kPackSlackElems past the buffer.
-template <typename T, int MR, int NRV, bool NTail, BAccess BA>
-void kern_fused_pack_tn(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
-                        T* SHALOM_RESTRICT ac, const T* SHALOM_RESTRICT b,
-                        index_t ldb, T* SHALOM_RESTRICT c, index_t ldc,
-                        T alpha, T beta, int ntail) {
-  using V = simd::vec_of_t<T>;
-  constexpr int L = V::kLanes;
-  constexpr int NV = NRV + (NTail ? 1 : 0);
-  static_assert(MR >= L, "fused TN pack requires a full-height stripe");
-  static_assert(contracts::fits_register_budget(MR, NV),
-                "register budget violated: mr + nr/j + mr*nr/j <= 31 "
-                "(paper Eq. 1; the overlapping packed-A column loads "
-                "reuse the A broadcast registers)");
-  constexpr int AV = (MR + L - 1) / L;
-  (void)ntail;
-
-  V acc[MR][NV];
-  unroll<MR>([&](auto i) {
-    unroll<NV>([&](auto jv) { acc[i][jv] = simd::zero_vec<T>(); });
-  });
-
-  auto load_b = [&](index_t k, auto jv) SHALOM_INLINE_LAMBDA {
-    const T* row = b + k * ldb + jv * L;
-    if constexpr (NTail && BA == BAccess::kDirect) {
-      if constexpr (jv == NV - 1) return simd::load_partial(row, ntail);
-    }
-    return simd::load(row);
-  };
-
-  for (index_t k = 0; k < kc; ++k) {
-    const T* col = a + k * lda;
-    V av[AV];
-    unroll<AV>([&](auto g) {
-      constexpr int base = (g == AV - 1) ? MR - L : g * L;
-      av[g] = simd::load(col + base);
-    });
-    // Pack stores between the load group and the FMAs: the overlapped
-    // vectors rewrite the shared rows with identical values.
-    T* dst = ac + k * MR;
-    unroll<AV>([&](auto g) {
-      constexpr int base = (g == AV - 1) ? MR - L : g * L;
-      simd::store(dst + base, av[g]);
-    });
-    V bv[NV];
-    unroll<NV>([&](auto jv) { bv[jv] = load_b(k, jv); });
-    unroll<MR>([&](auto i) {
-      constexpr int g = (i / L < AV - 1) ? i / L : AV - 1;
-      constexpr int base = (g == AV - 1) ? MR - L : g * L;
-      unroll<NV>([&](auto jv) {
-        acc[i][jv] =
-            simd::fmadd_lane<i - base>(acc[i][jv], av[g], bv[jv]);
-      });
-    });
-  }
-
-  const V valpha = simd::broadcast(alpha);
-  const V vbeta = simd::broadcast(beta);
-  unroll<MR>([&](auto i) {
-    unroll<NV>([&](auto jv) {
-      T* cp = c + i * ldc + jv * L;
-      V r = simd::mul(acc[i][jv], valpha);
-      if constexpr (NTail) {
-        if constexpr (jv == NV - 1) {
-          if (beta != T{0})
-            r = simd::fmadd(r, simd::load_partial(cp, ntail), vbeta);
-          simd::store_partial(cp, r, ntail);
-          return;
-        }
-      }
-      if (beta != T{0}) r = simd::fmadd(r, simd::load(cp), vbeta);
-      simd::store(cp, r);
     });
   });
 }

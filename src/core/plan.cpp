@@ -110,7 +110,9 @@ struct TileKernels {
 
 /// Runs the i0 row-tile loop of one B sliver. `a` is the block's A corner
 /// (in place) or its packed panel; `b` is the sliver, in place or packed.
-template <typename T, AAccess AA, BAccess BA>
+/// Tiles run the Bits-wide kern_main family of the access pair, or
+/// kern_scalar where the pair has none at that width.
+template <typename T, AAccess AA, BAccess BA, int Bits>
 void row_tiles(const model::Tile& tile, TileKernels kern, index_t i_start,
                index_t mcur, int n_eff, index_t kcur, const T* a,
                index_t lda, const T* b, index_t ldb, T* c_col, index_t ldc,
@@ -124,11 +126,12 @@ void row_tiles(const model::Tile& tile, TileKernels kern, index_t i_start,
         : AA == AAccess::kDirect ? a + i0 * lda
                                  : a + i0;
     T* const c_tile = c_col + i0 * ldc;
-    if constexpr (ukr::has_main_family(AA, BA)) {
+    if constexpr (ukr::has_main_family<T>(AA, BA, Bits)) {
       const bool edge = m_eff < tile.mr || n_eff < tile.nr;
       if (kern.main && (!edge || kern.edges)) {
-        ukr::run_main_tile<T, AA, BA>(m_eff, n_eff, kcur, a_tile, lda, b,
-                                      ldb, c_tile, ldc, alpha, beta);
+        ukr::run_main_tile<T, AA, BA, Bits>(m_eff, n_eff, kcur, a_tile, lda,
+                                            b, ldb, c_tile, ldc, alpha,
+                                            beta);
         continue;
       }
     }
@@ -138,26 +141,34 @@ void row_tiles(const model::Tile& tile, TileKernels kern, index_t i_start,
 }
 
 template <typename T>
-using RowTilesFn = decltype(&row_tiles<T, AAccess::kDirect, BAccess::kDirect>);
+using RowTilesFn =
+    decltype(&row_tiles<T, AAccess::kDirect, BAccess::kDirect, 128>);
 
-/// row_tiles for every access pair, indexed [A access * 3 + B access].
+/// row_tiles for every width and access pair, indexed
+/// [width index][A access * 3 + B access]. Only the packed-packed FP32
+/// pair has a vectorized family at 256 and 512 bits; the other entries
+/// there run kern_scalar (a wide plan whose arena reservation failed).
 template <typename T>
 constexpr auto kRowTiles = []<int... I>(std::integer_sequence<int, I...>) {
-  return std::array<RowTilesFn<T>, sizeof...(I)>{
-      &row_tiles<T, static_cast<AAccess>(I / 3),
-                 static_cast<BAccess>(I % 3)>...};
+  return std::array<std::array<RowTilesFn<T>, 9>, ukr::kWidthCount>{
+      {{&row_tiles<T, static_cast<AAccess>(I / 3),
+                   static_cast<BAccess>(I % 3), ukr::kWidths[0]>...},
+       {&row_tiles<T, static_cast<AAccess>(I / 3),
+                   static_cast<BAccess>(I % 3), ukr::kWidths[1]>...},
+       {&row_tiles<T, static_cast<AAccess>(I / 3),
+                   static_cast<BAccess>(I % 3), ukr::kWidths[2]>...}}};
 }(std::make_integer_sequence<int, 9>{});
 
-/// The kern_main family a plan's packing selects (kMain full tiles or
-/// kEdge remainder tiles): the unit plan_create's quarantine gate probes
-/// and the arena audit blames. model::decide_packing packs every
+/// The kern_main family a plan's packing and width select (kMain full
+/// tiles or kEdge remainder tiles): the unit plan_create's quarantine gate
+/// probes and the arena audit blames. model::decide_packing packs every
 /// transposed operand, so a planned operand is packed or direct.
 template <typename T>
 selfcheck::Variant plan_variant(const GemmPlan<T>& p,
                                 selfcheck::Kind kind = selfcheck::Kind::kMain) {
   return ukr::family_variant<T>(
       kind, p.a_packed ? AAccess::kPacked : AAccess::kDirect,
-      p.b_packed ? BAccess::kPacked : BAccess::kDirect);
+      p.b_packed ? BAccess::kPacked : BAccess::kDirect, p.width);
 }
 
 /// Post-execution canary audit of this thread's guarded pack arena
@@ -228,12 +239,15 @@ void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
       a_packed = b_packed = false;
       // The packed execution never consulted the in-place families, so
       // re-check their verdicts (cold path; one atomic load per family
-      // after the first probe).
+      // after the first probe). A wide plan has no in-place family: its
+      // tiles run kern_scalar.
       const AAccess a_in =
           (mode.a == Trans::N) ? AAccess::kDirect : AAccess::kDirectTrans;
-      kern.main = kern.main && selfcheck::variant_ok(ukr::family_variant<T>(
-                                   selfcheck::Kind::kMain, a_in,
-                                   BAccess::kDirect));
+      kern.main = kern.main &&
+                  ukr::has_main_family<T>(a_in, BAccess::kDirect,
+                                          plan.width) &&
+                  selfcheck::variant_ok(ukr::family_variant<T>(
+                      selfcheck::Kind::kMain, a_in, BAccess::kDirect));
       kern.edges = kern.main && kern.edges &&
                    selfcheck::variant_ok(ukr::family_variant<T>(
                        selfcheck::Kind::kEdge, a_in, BAccess::kDirect));
@@ -252,7 +266,8 @@ void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
                      : (mode.b == Trans::N) ? BAccess::kDirect
                                             : BAccess::kDirectTrans;
   const RowTilesFn<T> run_tiles =
-      kRowTiles<T>[static_cast<int>(aa) * 3 + static_cast<int>(ba)];
+      kRowTiles<T>[ukr::width_index(plan.width)]
+                  [static_cast<int>(aa) * 3 + static_cast<int>(ba)];
 
   for (index_t jj = 0; jj < N; jj += blk.nc) {
     const index_t ncur = std::min<index_t>(blk.nc, N - jj);
@@ -453,6 +468,43 @@ template void execute_plan<double>(const GemmPlan<double>&, double,
 
 namespace {
 
+/// Resolves which operands a plan with a decided tile, blocking and
+/// packing reads packed, gates its kernel families and lays out its arena.
+///
+/// Quarantine gate (common/selfcheck.h): the first plan that would
+/// dispatch a kernel family probes it lazily here; a failed probe routes
+/// this plan - and every later one - around the family. A quarantined
+/// main family makes every tile run kern_scalar with both operands read in
+/// place (no packing, no arena) and returns false; a quarantined edge
+/// family only disables the vectorized remainder tiles.
+template <typename T>
+bool gate_and_lay_out(GemmPlan<T>& p) {
+  p.a_packed = p.pack.a != model::PackPlan::kNone;
+  p.b_packed = p.pack.b != model::PackPlan::kNone;
+  if (!selfcheck::variant_ok(plan_variant(p))) {
+    p.force_scalar_kernels = true;
+    p.optimized_edges = false;
+    p.pack = {};
+    p.a_packed = p.b_packed = false;
+    return false;
+  }
+  if (p.optimized_edges)
+    p.optimized_edges =
+        selfcheck::variant_ok(plan_variant(p, selfcheck::Kind::kEdge));
+
+  // Arena: [Ac panel][Bc sliver 0][Bc sliver 1], each with vector slack.
+  p.ac_elems =
+      p.a_packed ? pack::a_panel_elems(p.blk.mc, p.blk.kc, p.tile.mr) : 0;
+  p.bc_sliver = p.b_packed ? pack::b_sliver_elems(p.blk.kc, p.tile.nr) +
+                                 ukr::kPackSlackElems
+                           : 0;
+  p.arena_bytes =
+      static_cast<std::size_t>(p.ac_elems + ukr::kPackSlackElems +
+                               2 * p.bc_sliver) *
+      sizeof(T);
+  return true;
+}
+
 template <typename T>
 GemmPlan<T> build_plan(Mode mode, index_t M, index_t N, index_t K,
                        const Config& cfg) {
@@ -534,26 +586,7 @@ GemmPlan<T> build_plan(Mode mode, index_t M, index_t N, index_t K,
     p.blk.nc = std::max<index_t>(p.tile.nr,
                                  cfg.nc_override / p.tile.nr * p.tile.nr);
   p.pack = model::decide_packing<T>(mach, mode, M, N, K, cfg);
-
-  p.a_packed = p.pack.a != model::PackPlan::kNone;
-  p.b_packed = p.pack.b != model::PackPlan::kNone;
-
-  // Quarantine gate (common/selfcheck.h): the first plan that would
-  // dispatch a kernel family probes it lazily here; a failed probe routes
-  // this plan - and every later one - around the family. A quarantined
-  // main family makes every tile run kern_scalar with both operands read
-  // in place (no packing, no arena); a quarantined edge family only
-  // disables the vectorized remainder tiles.
-  if (!selfcheck::variant_ok(plan_variant(p))) {
-    p.force_scalar_kernels = true;
-    p.optimized_edges = false;
-    p.pack = {};
-    p.a_packed = p.b_packed = false;
-    return p;
-  }
-  if (p.optimized_edges)
-    p.optimized_edges =
-        selfcheck::variant_ok(plan_variant(p, selfcheck::Kind::kEdge));
+  if (!gate_and_lay_out(p)) return p;
 
   // Fused (overlapped) A packing for the transposed-A modes (Section
   // 4.3): the first column sliver's stripes compute while streaming op(A)
@@ -579,17 +612,6 @@ GemmPlan<T> build_plan(Mode mode, index_t M, index_t N, index_t K,
                     AAccess::kDirect,
                     mode.b == Trans::N ? BAccess::kDirect
                                        : BAccess::kDirectTrans));
-
-  // Arena: [Ac panel][Bc sliver 0][Bc sliver 1], each with vector slack.
-  p.ac_elems =
-      p.a_packed ? pack::a_panel_elems(p.blk.mc, p.blk.kc, p.tile.mr) : 0;
-  p.bc_sliver = p.b_packed ? pack::b_sliver_elems(p.blk.kc, p.tile.nr) +
-                                 ukr::kPackSlackElems
-                           : 0;
-  p.arena_bytes =
-      static_cast<std::size_t>(p.ac_elems + ukr::kPackSlackElems +
-                               2 * p.bc_sliver) *
-      sizeof(T);
   return p;
 }
 
@@ -651,6 +673,24 @@ const TunedBlocking* find_tuned(Mode mode, index_t M, index_t N, index_t K,
 }
 
 }  // namespace
+
+GemmPlan<float> plan_wide(int bits, index_t M, index_t N, index_t K,
+                          const arch::MachineDescriptor& mach) {
+  SHALOM_REQUIRE(ukr::width_index(bits) >= 0, " bits=", bits);
+  GemmPlan<float> p;
+  p.mode = {Trans::N, Trans::N};
+  p.m = M;
+  p.n = N;
+  p.k = K;
+  p.width = bits;
+  const contracts::Tile t = ukr::family_tile<float>(bits);
+  p.tile = {t.mr, t.nr};
+  if (M == 0 || N == 0 || K == 0) return p;
+  p.blk = model::solve_blocking<float>(mach, p.tile, M, N, K);
+  p.pack = {model::PackPlan::kPackAhead, model::PackPlan::kPackAhead, 0};
+  gate_and_lay_out(p);
+  return p;
+}
 
 }  // namespace detail
 

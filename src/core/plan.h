@@ -44,6 +44,9 @@ struct GemmPlan {
   /// round this plan runs.
   int watchdog_ms = 0;
 
+  /// Vector width in bits of the kernels the plan dispatches: 128 for
+  /// every gemm plan; wide::gemm_wide plans 256- and 512-bit FP32 tiles.
+  int width = 128;
   /// Register tile, clamped to the instantiated kernel family.
   model::Tile tile{};
   /// Cache blocking. A small NN plan (B L1-resident, full optimizations)
@@ -130,6 +133,13 @@ template <typename T>
 void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
                     index_t lda, const T* B, index_t ldb, T beta, T* C,
                     index_t ldc);
+
+/// The plan wide::gemm_wide<bits> runs: FP32 NN with both operands
+/// packed at the width's analytic tile (paper Section 5.5), cache-blocked
+/// for `mach`, through the same quarantine gate and arena layout as a
+/// gemm plan. bits is 128, 256 or 512.
+GemmPlan<float> plan_wide(int bits, index_t M, index_t N, index_t K,
+                          const arch::MachineDescriptor& mach);
 
 /// C *= beta (beta==0 writes zeros without reading C).
 template <typename T>

@@ -19,6 +19,12 @@
 // instruction (plus a shuffle for lane broadcast on SSE, which NEON encodes
 // inside FMLA).
 //
+// One op set serves every vector width (simd/vecwide.h adds 256 and 512
+// bits under the same names). Ops taking a vector overload on its type;
+// the ops that make a vector from memory or a scalar (load, load_partial,
+// broadcast, zero_vec) take the width as a template argument, 128 by
+// default: load(p) is a 128-bit load, load<512>(p) a 512-bit one.
+//
 // Partial access (load_partial / store_partial, the N-remainder tiles of
 // paper Section 5.4): `count` is in [1, kLanes). Exactly the lanes below
 // `count` are read or written; lanes from `count` up are never touched in
@@ -78,6 +84,8 @@ SHALOM_INLINE f32x4 zero_f32x4() {
 #endif
 }
 
+template <int Bits = 128>
+  requires(Bits == 128)
 SHALOM_INLINE f32x4 broadcast(float x) {
 #if defined(SHALOM_SIMD_NEON)
   return {vdupq_n_f32(x)};
@@ -89,6 +97,8 @@ SHALOM_INLINE f32x4 broadcast(float x) {
 }
 
 /// Unaligned 4-lane load (LDR Q / MOVUPS).
+template <int Bits = 128>
+  requires(Bits == 128)
 SHALOM_INLINE f32x4 load(const float* p) {
 #if defined(SHALOM_SIMD_NEON)
   return {vld1q_f32(p)};
@@ -202,6 +212,8 @@ SHALOM_INLINE __m128i lane_mask4(int count) {
 
 /// Loads `count` (1..3) lanes, zero-filling the rest: edge-column loads.
 /// Reads p[0, count) only (see the partial-access contract above).
+template <int Bits = 128>
+  requires(Bits == 128)
 SHALOM_INLINE f32x4 load_partial(const float* p, int count) {
 #if defined(SHALOM_SIMD_NEON)
   float32x4_t v = vld1q_lane_f32(p, vdupq_n_f32(0.f), 0);
@@ -262,6 +274,8 @@ SHALOM_INLINE f64x2 zero_f64x2() {
 #endif
 }
 
+template <int Bits = 128>
+  requires(Bits == 128)
 SHALOM_INLINE f64x2 broadcast(double x) {
 #if defined(SHALOM_SIMD_NEON)
   return {vdupq_n_f64(x)};
@@ -272,6 +286,8 @@ SHALOM_INLINE f64x2 broadcast(double x) {
 #endif
 }
 
+template <int Bits = 128>
+  requires(Bits == 128)
 SHALOM_INLINE f64x2 load(const double* p) {
 #if defined(SHALOM_SIMD_NEON)
   return {vld1q_f64(p)};
@@ -367,6 +383,8 @@ SHALOM_INLINE double extract(f64x2 a, int lane) {
 }
 
 /// Loads lane 0 (`count` is always 1 for two lanes), zero-filling lane 1.
+template <int Bits = 128>
+  requires(Bits == 128)
 SHALOM_INLINE f64x2 load_partial(const double* p, int count) {
 #if defined(SHALOM_SIMD_NEON)
   (void)count;
@@ -424,21 +442,23 @@ SHALOM_INLINE void transpose4(f32x4& a, f32x4& b, f32x4& c, f32x4& d) {
 // Type selection + prefetch
 // ---------------------------------------------------------------------------
 
-/// Maps an element type to its 128-bit vector type (paper's j = kLanes).
-template <typename T>
+/// Maps an element type and a width in bits to its vector type (paper's
+/// j = kLanes); simd/vecwide.h adds the wider FP32 widths.
+template <typename T, int Bits = 128>
 struct vec_of;
 template <>
-struct vec_of<float> {
+struct vec_of<float, 128> {
   using type = f32x4;
 };
 template <>
-struct vec_of<double> {
+struct vec_of<double, 128> {
   using type = f64x2;
 };
-template <typename T>
-using vec_of_t = typename vec_of<T>::type;
+template <typename T, int Bits = 128>
+using vec_of_t = typename vec_of<T, Bits>::type;
 
-template <typename T>
+template <typename T, int Bits = 128>
+  requires(Bits == 128)
 SHALOM_INLINE auto zero_vec() {
   if constexpr (std::is_same_v<T, float>) {
     return zero_f32x4();

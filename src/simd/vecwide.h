@@ -11,10 +11,11 @@
 // exercised: f32x8 (256-bit) and f32x16 (512-bit) with AVX2/AVX-512
 // backends on the reproduction host (standing in for SVE-256/SVE-512;
 // same register count, same width, same FMA semantics) and a portable
-// emulation built from two halves elsewhere. The wide GEMM driver
-// (src/core/widegemm.h) consumes these through the same concepts the
-// 128-bit kernels use, with (mr, nr) re-derived by the unchanged analytic
-// model - exactly the porting recipe Section 5.5 describes.
+// emulation built from two halves elsewhere. The types extend vec128.h's
+// op set under the same names (load<256>(p), store(p, v), fmadd, ...), so
+// the one micro-kernel template (core/microkernel.h) runs at every width
+// with (mr, nr) re-derived by the unchanged analytic model - exactly the
+// porting recipe Section 5.5 describes.
 //
 // The partial loads and stores keep vec128.h's contract: exactly the lanes
 // below `count` (1..kLanes-1) are read or written, and lanes from `count`
@@ -23,6 +24,8 @@
 // vec128.h's lane mask, whose masked-off lanes never fault; the emulated
 // widths copy through a lane array on the stack.
 #pragma once
+
+#include <type_traits>
 
 #include "simd/vec128.h"
 
@@ -42,7 +45,14 @@ struct f32x8 {
 #endif
 };
 
-SHALOM_INLINE f32x8 zero_f32x8() {
+template <>
+struct vec_of<float, 256> {
+  using type = f32x8;
+};
+
+template <typename T, int Bits>
+  requires(std::is_same_v<T, float> && Bits == 256)
+SHALOM_INLINE f32x8 zero_vec() {
 #if defined(SHALOM_SIMD_SSE) && defined(__AVX2__)
   return {_mm256_setzero_ps()};
 #else
@@ -50,7 +60,9 @@ SHALOM_INLINE f32x8 zero_f32x8() {
 #endif
 }
 
-SHALOM_INLINE f32x8 broadcast8(float x) {
+template <int Bits>
+  requires(Bits == 256)
+SHALOM_INLINE f32x8 broadcast(float x) {
 #if defined(SHALOM_SIMD_SSE) && defined(__AVX2__)
   return {_mm256_set1_ps(x)};
 #else
@@ -58,7 +70,9 @@ SHALOM_INLINE f32x8 broadcast8(float x) {
 #endif
 }
 
-SHALOM_INLINE f32x8 load8(const float* p) {
+template <int Bits>
+  requires(Bits == 256)
+SHALOM_INLINE f32x8 load(const float* p) {
 #if defined(SHALOM_SIMD_SSE) && defined(__AVX2__)
   return {_mm256_loadu_ps(p)};
 #else
@@ -66,12 +80,20 @@ SHALOM_INLINE f32x8 load8(const float* p) {
 #endif
 }
 
-SHALOM_INLINE void store8(float* p, f32x8 x) {
+SHALOM_INLINE void store(float* p, f32x8 x) {
 #if defined(SHALOM_SIMD_SSE) && defined(__AVX2__)
   _mm256_storeu_ps(p, x.v);
 #else
   store(p, x.lo);
   store(p + 4, x.hi);
+#endif
+}
+
+SHALOM_INLINE f32x8 mul(f32x8 a, f32x8 b) {
+#if defined(SHALOM_SIMD_SSE) && defined(__AVX2__)
+  return {_mm256_mul_ps(a.v, b.v)};
+#else
+  return {mul(a.lo, b.lo), mul(a.hi, b.hi)};
 #endif
 }
 
@@ -83,7 +105,7 @@ SHALOM_INLINE f32x8 fmadd(f32x8 acc, f32x8 a, f32x8 b) {
 #endif
 }
 
-SHALOM_INLINE float extract8(f32x8 a, int lane) {
+SHALOM_INLINE float extract(f32x8 a, int lane) {
 #if defined(SHALOM_SIMD_SSE) && defined(__AVX2__)
   alignas(32) float tmp[8];
   _mm256_store_ps(tmp, a.v);
@@ -100,7 +122,9 @@ SHALOM_INLINE __m256i lane_mask8(int count) {
 }
 #endif
 
-SHALOM_INLINE f32x8 load8_partial(const float* p, int count) {
+template <int Bits>
+  requires(Bits == 256)
+SHALOM_INLINE f32x8 load_partial(const float* p, int count) {
 #if defined(SHALOM_SIMD_SSE) && defined(__AVX512VL__)
   return {_mm256_maskz_loadu_ps(static_cast<__mmask8>((1u << count) - 1), p)};
 #elif defined(SHALOM_SIMD_SSE) && defined(__AVX2__)
@@ -108,18 +132,18 @@ SHALOM_INLINE f32x8 load8_partial(const float* p, int count) {
 #else
   float tmp[8] = {};
   for (int i = 0; i < count; ++i) tmp[i] = p[i];
-  return load8(tmp);
+  return load<256>(tmp);
 #endif
 }
 
-SHALOM_INLINE void store8_partial(float* p, f32x8 x, int count) {
+SHALOM_INLINE void store_partial(float* p, f32x8 x, int count) {
 #if defined(SHALOM_SIMD_SSE) && defined(__AVX512VL__)
   _mm256_mask_storeu_ps(p, static_cast<__mmask8>((1u << count) - 1), x.v);
 #elif defined(SHALOM_SIMD_SSE) && defined(__AVX2__)
   _mm256_maskstore_ps(p, lane_mask8(count), x.v);
 #else
   float tmp[8];
-  store8(tmp, x);
+  store(tmp, x);
   for (int i = 0; i < count; ++i) p[i] = tmp[i];
 #endif
 }
@@ -138,36 +162,55 @@ struct f32x16 {
 #endif
 };
 
-SHALOM_INLINE f32x16 zero_f32x16() {
+template <>
+struct vec_of<float, 512> {
+  using type = f32x16;
+};
+
+template <typename T, int Bits>
+  requires(std::is_same_v<T, float> && Bits == 512)
+SHALOM_INLINE f32x16 zero_vec() {
 #if defined(SHALOM_SIMD_SSE) && defined(__AVX512F__)
   return {_mm512_setzero_ps()};
 #else
-  return {zero_f32x8(), zero_f32x8()};
+  return {zero_vec<float, 256>(), zero_vec<float, 256>()};
 #endif
 }
 
-SHALOM_INLINE f32x16 broadcast16(float x) {
+template <int Bits>
+  requires(Bits == 512)
+SHALOM_INLINE f32x16 broadcast(float x) {
 #if defined(SHALOM_SIMD_SSE) && defined(__AVX512F__)
   return {_mm512_set1_ps(x)};
 #else
-  return {broadcast8(x), broadcast8(x)};
+  return {broadcast<256>(x), broadcast<256>(x)};
 #endif
 }
 
-SHALOM_INLINE f32x16 load16(const float* p) {
+template <int Bits>
+  requires(Bits == 512)
+SHALOM_INLINE f32x16 load(const float* p) {
 #if defined(SHALOM_SIMD_SSE) && defined(__AVX512F__)
   return {_mm512_loadu_ps(p)};
 #else
-  return {load8(p), load8(p + 8)};
+  return {load<256>(p), load<256>(p + 8)};
 #endif
 }
 
-SHALOM_INLINE void store16(float* p, f32x16 x) {
+SHALOM_INLINE void store(float* p, f32x16 x) {
 #if defined(SHALOM_SIMD_SSE) && defined(__AVX512F__)
   _mm512_storeu_ps(p, x.v);
 #else
-  store8(p, x.lo);
-  store8(p + 8, x.hi);
+  store(p, x.lo);
+  store(p + 8, x.hi);
+#endif
+}
+
+SHALOM_INLINE f32x16 mul(f32x16 a, f32x16 b) {
+#if defined(SHALOM_SIMD_SSE) && defined(__AVX512F__)
+  return {_mm512_mul_ps(a.v, b.v)};
+#else
+  return {mul(a.lo, b.lo), mul(a.hi, b.hi)};
 #endif
 }
 
@@ -179,95 +222,37 @@ SHALOM_INLINE f32x16 fmadd(f32x16 acc, f32x16 a, f32x16 b) {
 #endif
 }
 
-SHALOM_INLINE float extract16(f32x16 a, int lane) {
+SHALOM_INLINE float extract(f32x16 a, int lane) {
 #if defined(SHALOM_SIMD_SSE) && defined(__AVX512F__)
   alignas(64) float tmp[16];
   _mm512_store_ps(tmp, a.v);
   return tmp[lane];
 #else
-  return lane < 8 ? extract8(a.lo, lane) : extract8(a.hi, lane - 8);
+  return lane < 8 ? extract(a.lo, lane) : extract(a.hi, lane - 8);
 #endif
 }
 
-SHALOM_INLINE f32x16 load16_partial(const float* p, int count) {
+template <int Bits>
+  requires(Bits == 512)
+SHALOM_INLINE f32x16 load_partial(const float* p, int count) {
 #if defined(SHALOM_SIMD_SSE) && defined(__AVX512F__)
   return {_mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << count) - 1), p)};
 #else
   float tmp[16] = {};
   for (int i = 0; i < count; ++i) tmp[i] = p[i];
-  return load16(tmp);
+  return load<512>(tmp);
 #endif
 }
 
-SHALOM_INLINE void store16_partial(float* p, f32x16 x, int count) {
+SHALOM_INLINE void store_partial(float* p, f32x16 x, int count) {
 #if defined(SHALOM_SIMD_SSE) && defined(__AVX512F__)
   _mm512_mask_storeu_ps(p, static_cast<__mmask16>((1u << count) - 1), x.v);
 #else
   float tmp[16];
-  store16(tmp, x);
+  store(tmp, x);
   for (int i = 0; i < count; ++i) p[i] = tmp[i];
 #endif
 }
-
-// ---------------------------------------------------------------------------
-// Uniform facade so the wide kernel can be written once over the width.
-// ---------------------------------------------------------------------------
-template <int Bits>
-struct wide;
-
-template <>
-struct wide<128> {
-  using type = f32x4;
-  static SHALOM_INLINE type zero() { return zero_f32x4(); }
-  static SHALOM_INLINE type bcast(float x) { return broadcast(x); }
-  static SHALOM_INLINE type ld(const float* p) { return load(p); }
-  static SHALOM_INLINE void st(float* p, type x) { store(p, x); }
-  static SHALOM_INLINE type ldp(const float* p, int c) {
-    return load_partial(p, c);
-  }
-  static SHALOM_INLINE void stp(float* p, type x, int c) {
-    store_partial(p, x, c);
-  }
-  static SHALOM_INLINE type fma(type a, type x, type y) {
-    return fmadd(a, x, y);
-  }
-};
-
-template <>
-struct wide<256> {
-  using type = f32x8;
-  static SHALOM_INLINE type zero() { return zero_f32x8(); }
-  static SHALOM_INLINE type bcast(float x) { return broadcast8(x); }
-  static SHALOM_INLINE type ld(const float* p) { return load8(p); }
-  static SHALOM_INLINE void st(float* p, type x) { store8(p, x); }
-  static SHALOM_INLINE type ldp(const float* p, int c) {
-    return load8_partial(p, c);
-  }
-  static SHALOM_INLINE void stp(float* p, type x, int c) {
-    store8_partial(p, x, c);
-  }
-  static SHALOM_INLINE type fma(type a, type x, type y) {
-    return fmadd(a, x, y);
-  }
-};
-
-template <>
-struct wide<512> {
-  using type = f32x16;
-  static SHALOM_INLINE type zero() { return zero_f32x16(); }
-  static SHALOM_INLINE type bcast(float x) { return broadcast16(x); }
-  static SHALOM_INLINE type ld(const float* p) { return load16(p); }
-  static SHALOM_INLINE void st(float* p, type x) { store16(p, x); }
-  static SHALOM_INLINE type ldp(const float* p, int c) {
-    return load16_partial(p, c);
-  }
-  static SHALOM_INLINE void stp(float* p, type x, int c) {
-    store16_partial(p, x, c);
-  }
-  static SHALOM_INLINE type fma(type a, type x, type y) {
-    return fmadd(a, x, y);
-  }
-};
 
 /// True when the width has a native (non-emulated) backend on this build.
 constexpr bool wide_native(int bits) {

@@ -203,7 +203,7 @@ TEST_F(GuardTest, RealCrashingProbeIsContainedAndQuarantined) {
 
 TEST_F(GuardTest, QuarantineOverridesAnEarlierVerifiedVerdict) {
   reset_guard_world();
-  const auto v = selfcheck::Variant::kWide128;
+  const auto v = selfcheck::Variant::kMainF32PackedPacked512;
   EXPECT_TRUE(selfcheck::variant_ok(v));
   ASSERT_EQ(selfcheck::status(v), selfcheck::Status::kVerified);
 

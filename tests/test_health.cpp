@@ -325,7 +325,7 @@ TEST_F(HealthTest, KernelInjectedQuarantineRecovers) {
 TEST_F(HealthTest, KernelTrapCauseIsPermanent) {
   if (!health::recovery_enabled())
     GTEST_SKIP() << "recovery disabled (SHALOM_RECOVERY_MS=0)";
-  const selfcheck::Variant v = selfcheck::Variant::kWide256;
+  const selfcheck::Variant v = selfcheck::Variant::kMainF32PackedPacked256;
   selfcheck::quarantine(v);  // default cause: kTrap (positive evidence)
   ASSERT_EQ(selfcheck::quarantine_cause(v), Cause::kTrap);
 

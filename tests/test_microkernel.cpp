@@ -5,7 +5,9 @@
 // packing routines).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -348,8 +350,8 @@ TEST(FusedPackTN, ComputesAndPacksAc) {
 // their last real element, so a partial load or store touching a lane past
 // the edge faults. ASan does not instrument the masked intrinsics behind
 // load_partial / store_partial; this test is the out-of-bounds evidence
-// for kern_main (direct B), kern_fused_pack_nn, and the TN path's partial
-// column load (m < lanes, transposed A ending at the guard).
+// for kern_main (direct B), its fused-NN pack hook, and the TN path's
+// partial column load (m < lanes, transposed A ending at the guard).
 template <typename T>
 void check_tails_at_guard_page() {
   constexpr int L = simd::vec_of_t<T>::kLanes;
@@ -404,6 +406,93 @@ void check_tails_at_guard_page() {
 
 TEST(MainKernel, F32TailsAtGuardPage) { check_tails_at_guard_page<float>(); }
 TEST(MainKernel, F64TailsAtGuardPage) { check_tails_at_guard_page<double>(); }
+
+// A pack hook changes what kern_main stores besides C, never C itself:
+// the fused NN tile must equal the direct-direct tile and the fused TN
+// tile the trans-direct tile, bit for bit, for every n_eff and for kc on
+// both sides of the k-unroll boundary (DESIGN.md's NN/TN bitwise promise,
+// checked at the kernel the fused paths run).
+template <typename T>
+bool bitwise_equal(const Matrix<T>& x, const Matrix<T>& y) {
+  const auto elems = static_cast<std::size_t>(x.rows() * x.ld());
+  return std::memcmp(x.data(), y.data(), sizeof(T) * elems) == 0;
+}
+
+template <typename T>
+void check_pack_hooks_bitwise(bool trans_a) {
+  constexpr int L = simd::vec_of_t<T>::kLanes;
+  constexpr int nr_full = kMaxNrv * L;
+  for (const index_t kc : {index_t{1}, index_t{L - 1}, index_t{L},
+                           index_t{L + 1}, index_t{4 * L + 3}}) {
+    Matrix<T> a(kMaxMr, kc), at(kc, kMaxMr);
+    Matrix<T> b(kc, 2 * nr_full);  // current + next sliver side by side
+    fill_random(a, 101);
+    fill_random(b, 102);
+    for (index_t k = 0; k < kc; ++k)
+      for (int i = 0; i < kMaxMr; ++i) at(k, i) = a(i, k);
+    std::vector<T> b_packed(nr_full * kc + kPackSlackElems, T{});
+    pack::pack_b_n(b.data(), b.ld(), kc, nr_full, nr_full, b_packed.data());
+    // Bc (kc x nr_full) or Ac (kc x kMaxMr), whichever is larger.
+    std::vector<T> side(std::max(nr_full, kMaxMr) * kc + kPackSlackElems);
+    std::vector<T> side_next(nr_full * kc + kPackSlackElems);
+
+    for (int n = 1; n <= nr_full; ++n) {
+      for (const T beta : {T{0}, T(0.5)}) {
+        SCOPED_TRACE(::testing::Message() << "kc=" << kc << " n_eff=" << n
+                                          << " beta=" << beta);
+        Matrix<T> want(kMaxMr, nr_full), got(kMaxMr, nr_full);
+        fill_random(want, 103);
+        const Matrix<T> c0 = want;
+        const T alpha = T(1.25);
+        if (trans_a) {
+          run_main_tile<T, AAccess::kDirectTrans, BAccess::kDirect>(
+              kMaxMr, n, kc, at.data(), at.ld(), b.data(), b.ld(),
+              want.data(), want.ld(), alpha, beta);
+          for (const bool b_pk : {false, true}) {
+            got = c0;
+            run_fused_pack_tn<T>(b_pk, n, kc, at.data(), at.ld(), side.data(),
+                                 b_pk ? b_packed.data() : b.data(),
+                                 b_pk ? nr_full : b.ld(), got.data(),
+                                 got.ld(), alpha, beta);
+            EXPECT_TRUE(bitwise_equal(got, want)) << "b_packed=" << b_pk;
+          }
+        } else {
+          run_main_tile<T, AAccess::kDirect, BAccess::kDirect>(
+              kMaxMr, n, kc, a.data(), a.ld(), b.data(), b.ld(), want.data(),
+              want.ld(), alpha, beta);
+          for (const bool ahead : {false, true}) {
+            got = c0;
+            run_fused_pack_nn<T>(true, ahead, n, kc, a.data(), a.ld(),
+                                 b.data(), b.ld(), side.data(),
+                                 b.data() + nr_full, b.ld(),
+                                 side_next.data(), got.data(), got.ld(),
+                                 alpha, beta);
+            EXPECT_TRUE(bitwise_equal(got, want)) << "ahead=" << ahead;
+          }
+          if (n == nr_full) {  // the t = 1 steady state reads packed B
+            got = c0;
+            run_fused_pack_nn<T>(false, true, n, kc, a.data(), a.ld(),
+                                 b_packed.data(), nr_full, nullptr,
+                                 b.data() + nr_full, b.ld(),
+                                 side_next.data(), got.data(), got.ld(),
+                                 alpha, beta);
+            EXPECT_TRUE(bitwise_equal(got, want)) << "packed current sliver";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PackHook, FusedNnTilesBitwiseEqualMainKernel) {
+  check_pack_hooks_bitwise<float>(false);
+  check_pack_hooks_bitwise<double>(false);
+}
+
+TEST(PackHook, FusedTnTilesBitwiseEqualMainKernel) {
+  check_pack_hooks_bitwise<float>(true);
+  check_pack_hooks_bitwise<double>(true);
+}
 
 TEST(ScalarKernel, MatchesOracle) {
   KernelFixture<float> fx;

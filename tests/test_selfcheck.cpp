@@ -86,8 +86,9 @@ TEST(Selfcheck, VariantNamesAreStableAndUnique) {
     EXPECT_GT(std::strlen(name), 0u);
     EXPECT_TRUE(names.insert(name).second) << "duplicate name: " << name;
   }
-  EXPECT_STREQ(selfcheck::variant_name(selfcheck::wide_variant(512)),
-               "wide.512");
+  EXPECT_STREQ(selfcheck::variant_name(
+                   selfcheck::Variant::kEdgeF32PackedPacked512),
+               "edge.f32.packed-packed.512");
 }
 
 TEST(Selfcheck, LazyProbeRunsOncePerVariant) {
@@ -178,13 +179,14 @@ TEST(SelfcheckHarness, RejectsStorePastNEff) {
   expect_rejects_store_past_n_eff<row(V::kFusedNnF32)>();
   expect_rejects_store_past_n_eff<row(V::kFusedTnF32)>();
   expect_rejects_store_past_n_eff<row(V::kFusedNtF32)>();
-  expect_rejects_store_past_n_eff<row(V::kWide256)>();
+  expect_rejects_store_past_n_eff<row(V::kEdgeF32PackedPacked256)>();
+  expect_rejects_store_past_n_eff<row(V::kMainF32PackedPacked512)>();
 }
 
 TEST(SelfcheckHarness, RejectsCReadAtBetaZero) {
   using V = selfcheck::Variant;
   constexpr int kEdge = row(V::kEdgeF32DirectDirect);
-  constexpr int kWide = row(V::kWide256);
+  constexpr int kWide = row(V::kEdgeF32PackedPacked512);
   EXPECT_TRUE(probe_with<kEdge>(&probe::run_tile<kEdge>));
   EXPECT_FALSE(probe_with<kEdge>(&read_c_at_beta_zero<kEdge>));
   EXPECT_TRUE(probe_with<kWide>(&probe::run_tile<kWide>));
@@ -323,11 +325,43 @@ TEST_F(QuarantineTest, WideGemmFallsBackToScalar) {
                        p.b.ld(), 0.5f, p.c.data(), p.c.ld());
   fault::disarm_all();
 
-  EXPECT_EQ(selfcheck::status(selfcheck::Variant::kWide256),
+  EXPECT_EQ(selfcheck::status(selfcheck::Variant::kMainF32PackedPacked256),
             selfcheck::Status::kQuarantined);
   EXPECT_GT(robustness_stats().kernels_quarantined, 0u);
   p.run_reference(1.5f, 0.5f);
   p.expect_matches("quarantined wide gemm");
+
+  // A forced probe failure of the 512-bit edge family alone: the plan
+  // keeps its vectorized full tiles (force_scalar_kernels stays false) and
+  // routes every remainder tile to kern_scalar (optimized_edges is the
+  // executor's only switch for that), and the result still matches naive.
+  reset_selfcheck_world();
+  ASSERT_TRUE(
+      selfcheck::variant_ok(selfcheck::Variant::kMainF32PackedPacked512));
+  fault::arm(fault::Site::kSelfcheckProbe, fault::Mode::kEveryN, 1);
+  const GemmPlan<float> plan =
+      detail::plan_wide(512, M, N, K, arch::host_machine());
+  fault::disarm_all();
+  EXPECT_EQ(selfcheck::status(selfcheck::Variant::kEdgeF32PackedPacked512),
+            selfcheck::Status::kQuarantined);
+  EXPECT_EQ(selfcheck::status(selfcheck::Variant::kMainF32PackedPacked512),
+            selfcheck::Status::kVerified);
+  EXPECT_EQ(plan.width, 512);
+  EXPECT_FALSE(plan.force_scalar_kernels);
+  EXPECT_FALSE(plan.optimized_edges);
+  EXPECT_TRUE(plan.a_packed && plan.b_packed);
+  // M and N are off the 15x16 tile, so remainder tiles exist.
+  EXPECT_NE(M % plan.tile.mr, 0);
+  EXPECT_NE(N % plan.tile.nr, 0);
+
+  testing::Problem<float> q({Trans::N, Trans::N}, M, N, K);
+  wide::gemm_wide<512>(M, N, K, 1.5f, q.a.data(), q.a.ld(), q.b.data(),
+                       q.b.ld(), 0.5f, q.c.data(), q.c.ld());
+  EXPECT_FALSE(detail::plan_wide(512, M, N, K, arch::host_machine())
+                   .optimized_edges)
+      << "the quarantine verdict must outlive the call";
+  q.run_reference(1.5f, 0.5f);
+  q.expect_matches("wide gemm with a quarantined edge family");
 }
 
 TEST_F(QuarantineTest, PlansBuiltAfterQuarantineStayCorrect) {

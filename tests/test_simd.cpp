@@ -175,18 +175,18 @@ TEST(SimdGuardPage, F64x2Partials) {
 
 TEST(SimdGuardPage, F32x8Partials) {
   check_partials_at_guard_page<float, 8>(
-      [](const float* p, int c) { return load8_partial(p, c); },
-      [](float* p, f32x8 x, int c) { store8_partial(p, x, c); },
-      [](float x) { return broadcast8(x); },
-      [](f32x8 v, int i) { return extract8(v, i); });
+      [](const float* p, int c) { return load_partial<256>(p, c); },
+      [](float* p, f32x8 x, int c) { store_partial(p, x, c); },
+      [](float x) { return broadcast<256>(x); },
+      [](f32x8 v, int i) { return extract(v, i); });
 }
 
 TEST(SimdGuardPage, F32x16Partials) {
   check_partials_at_guard_page<float, 16>(
-      [](const float* p, int c) { return load16_partial(p, c); },
-      [](float* p, f32x16 x, int c) { store16_partial(p, x, c); },
-      [](float x) { return broadcast16(x); },
-      [](f32x16 v, int i) { return extract16(v, i); });
+      [](const float* p, int c) { return load_partial<512>(p, c); },
+      [](float* p, f32x16 x, int c) { store_partial(p, x, c); },
+      [](float x) { return broadcast<512>(x); },
+      [](f32x16 v, int i) { return extract(v, i); });
 }
 
 TEST(Simd, VecOfSelectsWidth) {

@@ -6,61 +6,72 @@
 #include "baselines/naive.h"
 #include "common/rng.h"
 #include "core/widegemm.h"
+#include "simd/vecwide.h"
 
 namespace shalom::wide {
 namespace {
 
+/// The register tile gemm_wide<Bits> plans and runs.
+model::Tile plan_tile(int bits) {
+  return detail::plan_wide(bits, 64, 64, 64, arch::host_machine()).tile;
+}
+
 TEST(WideModel, RevisedTilesMatchEq1) {
-  // The hardcoded kernel tiles must be what Eq. 1/2 yields at each lane
-  // count (this is the paper's "revised mr and nr" recipe).
-  const auto t256 = model::solve_tile(32, 8);
-  EXPECT_EQ(t256.mr, WideTile<256>::kMr);
-  EXPECT_EQ(t256.nr, WideTile<256>::kNrv * 8);
-  const auto t512 = model::solve_tile(32, 16);
-  EXPECT_EQ(t512.mr, WideTile<512>::kMr);
-  EXPECT_EQ(t512.nr, WideTile<512>::kNrv * 16);
-  const auto t128 = model::solve_tile(32, 4);
-  EXPECT_EQ(t128.mr, WideTile<128>::kMr);
-  EXPECT_EQ(t128.nr, WideTile<128>::kNrv * 4);
+  // The tile each width's plan runs must be what Eq. 1/2 yields at its
+  // lane count (this is the paper's "revised mr and nr" recipe).
+  for (const int bits : {128, 256, 512}) {
+    const model::Tile want = model::solve_tile(32, bits / 32);
+    const model::Tile got = plan_tile(bits);
+    EXPECT_EQ(got.mr, want.mr) << bits;
+    EXPECT_EQ(got.nr, want.nr) << bits;
+  }
+  EXPECT_EQ(plan_tile(256).mr, 9);
+  EXPECT_EQ(plan_tile(256).nr, 16);
+  EXPECT_EQ(plan_tile(512).mr, 15);
+  EXPECT_EQ(plan_tile(512).nr, 16);
 }
 
 TEST(WideModel, CmrGrowsWithWidth) {
-  EXPECT_GT(model::tile_cmr(WideTile<256>::kMr, WideTile<256>::kNrv * 8),
-            model::tile_cmr(WideTile<128>::kMr, WideTile<128>::kNrv * 4));
-  EXPECT_GT(model::tile_cmr(WideTile<512>::kMr, WideTile<512>::kNrv * 16),
-            model::tile_cmr(WideTile<256>::kMr, WideTile<256>::kNrv * 8));
+  const model::Tile t128 = plan_tile(128), t256 = plan_tile(256),
+                    t512 = plan_tile(512);
+  EXPECT_GT(model::tile_cmr(t256.mr, t256.nr),
+            model::tile_cmr(t128.mr, t128.nr));
+  EXPECT_GT(model::tile_cmr(t512.mr, t512.nr),
+            model::tile_cmr(t256.mr, t256.nr));
 }
 
 TEST(WideSimd, RoundTripsAndFma) {
   float src[16], dst[16];
   for (int i = 0; i < 16; ++i) src[i] = static_cast<float>(i) * 0.5f;
 
-  const auto v8 = simd::load8(src);
-  simd::store8(dst, v8);
+  const auto v8 = simd::load<256>(src);
+  simd::store(dst, v8);
   for (int i = 0; i < 8; ++i) EXPECT_EQ(dst[i], src[i]);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(simd::extract8(v8, i), src[i]);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(simd::extract(v8, i), src[i]);
 
-  const auto v16 = simd::load16(src);
-  simd::store16(dst, v16);
+  const auto v16 = simd::load<512>(src);
+  simd::store(dst, v16);
   for (int i = 0; i < 16; ++i) EXPECT_EQ(dst[i], src[i]);
 
   const auto r8 =
-      simd::fmadd(simd::broadcast8(1.f), v8, simd::broadcast8(2.f));
+      simd::fmadd(simd::broadcast<256>(1.f), v8, simd::broadcast<256>(2.f));
   for (int i = 0; i < 8; ++i)
-    EXPECT_FLOAT_EQ(simd::extract8(r8, i), 1.f + src[i] * 2.f);
-  const auto r16 =
-      simd::fmadd(simd::broadcast16(1.f), v16, simd::broadcast16(-1.f));
+    EXPECT_FLOAT_EQ(simd::extract(r8, i), 1.f + src[i] * 2.f);
+  const auto r16 = simd::fmadd(simd::broadcast<512>(1.f), v16,
+                               simd::broadcast<512>(-1.f));
   for (int i = 0; i < 16; ++i)
-    EXPECT_FLOAT_EQ(simd::extract16(r16, i), 1.f - src[i]);
+    EXPECT_FLOAT_EQ(simd::extract(r16, i), 1.f - src[i]);
+  const auto p16 = simd::mul(v16, simd::broadcast<512>(2.f));
+  for (int i = 0; i < 16; ++i) EXPECT_EQ(simd::extract(p16, i), 2.f * src[i]);
 }
 
 TEST(WideSimd, PartialOps) {
   float src[8] = {1, 2, 3, 4, 5, 6, 7, 8};
-  const auto v = simd::load8_partial(src, 5);
+  const auto v = simd::load_partial<256>(src, 5);
   for (int i = 0; i < 8; ++i)
-    EXPECT_EQ(simd::extract8(v, i), i < 5 ? src[i] : 0.f);
+    EXPECT_EQ(simd::extract(v, i), i < 5 ? src[i] : 0.f);
   float dst[8] = {-1, -1, -1, -1, -1, -1, -1, -1};
-  simd::store8_partial(dst, v, 3);
+  simd::store_partial(dst, v, 3);
   EXPECT_EQ(dst[2], 3.f);
   EXPECT_EQ(dst[3], -1.f);
 }
