@@ -30,8 +30,10 @@ int main(int argc, char** argv) {
       {"480x480x480", 480, 480, 480},
   };
 
-  bench::Table table("Ablation: vector width vs GFLOPS (FP32 NN, "
-                     "model-derived tiles)",
+  // Best of --reps: the fastest repetition is the one least disturbed by
+  // other load on the host, so the columns stay comparable across runs.
+  bench::Table table("Ablation: vector width vs best-of-reps GFLOPS (FP32 "
+                     "NN, model-derived tiles)",
                      {"shape", "128-bit (7x12)", "256-bit (9x16)",
                       "512-bit (15x16)"});
 
@@ -44,7 +46,7 @@ int main(int argc, char** argv) {
       const auto st = bench::time_kernel(run, opt.reps, true);
       return bench::gemm_gflops(static_cast<double>(s.m),
                                 static_cast<double>(s.n),
-                                static_cast<double>(s.k), st.geomean_s);
+                                static_cast<double>(s.k), st.min_s);
     };
     row.push_back(measure([&] {
       wide::gemm_wide<128>(s.m, s.n, s.k, 1.f, a.data(), a.ld(), b.data(),

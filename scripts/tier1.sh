@@ -23,12 +23,13 @@ cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror
 cmake --build build -j "${JOBS}"
 SHALOM_SELFTEST=1 ctest --test-dir build --output-on-failure -j "${JOBS}"
 
-echo "=== tier1: guard, fault and health suites twice in one process ==="
-# Each test must leave the process-wide health registry, the global pool
-# and the fault sites as it found them (or heal them before it relies on
-# them): a second pass in the same process fails on any state the first
-# one leaked, e.g. a pool left degraded by a watchdog trip.
-for suite in test_guard test_fault test_health; do
+echo "=== tier1: guard, fault, health and selfcheck suites twice in one process ==="
+# Each test must leave the process-wide health registry, the global pool,
+# the fault sites and the kernel-variant verdicts as it found them (or
+# heal them before it relies on them): a second pass in the same process
+# fails on any state the first one leaked, e.g. a pool left degraded by a
+# watchdog trip or a variant verdict that outlived reset_for_testing.
+for suite in test_guard test_fault test_health test_selfcheck; do
   "./build/tests/${suite}" --gtest_repeat=2 --gtest_brief=1
 done
 

@@ -37,18 +37,25 @@ std::uint64_t base_backoff_ms() noexcept {
   return ms > 0 ? static_cast<std::uint64_t>(ms) : 0;
 }
 
-/// DEGRADED with `doublings` and the matching cool-down deadline.
-LatchWord degraded(std::uint64_t doublings) noexcept {
-  return {kDegraded, doublings, 0, 0,
+/// DEGRADED for `cause` with `doublings` and the matching cool-down
+/// deadline.
+LatchWord degraded(std::uint64_t cause, std::uint64_t doublings) noexcept {
+  return {kDegraded, cause, doublings, 0, 0,
           now_ms() + (base_backoff_ms() << doublings)};
 }
 
-/// The word a probation ends in: HEALTHY (all fields zero - base
-/// backoff, no window) or DEGRADED with the backoff doubled.
+/// HEALTHY with the base backoff and no window, still naming `cause` as
+/// why the latch last left HEALTHY.
+LatchWord healthy(std::uint64_t cause) noexcept {
+  return {kHealthy, cause, 0, 0, 0, 0};
+}
+
+/// The word a probation ends in: HEALTHY or DEGRADED with the backoff
+/// doubled.
 LatchWord after_probation(LatchWord w, bool succeeded) noexcept {
-  if (succeeded) return LatchWord{};
-  return degraded(w.doublings < kMaxDoublings ? w.doublings + 1
-                                              : kMaxDoublings);
+  if (succeeded) return healthy(w.cause);
+  return degraded(w.cause, w.doublings < kMaxDoublings ? w.doublings + 1
+                                                       : kMaxDoublings);
 }
 
 /// The enumerator's name from its table, "unknown" out of range.
@@ -112,19 +119,15 @@ bool Latch::update(Step step) noexcept {
   }
 }
 
-State Latch::state() const noexcept {
-  return static_cast<State>(word_.load(std::memory_order_acquire).state);
-}
-
 Cause Latch::cause() const noexcept {
-  return static_cast<Cause>(cause_.load(std::memory_order_relaxed));
+  return static_cast<Cause>(word_.load(std::memory_order_acquire).cause);
 }
 
 ComponentReport Latch::report() const noexcept {
   const LatchWord w = word_.load(std::memory_order_acquire);
   ComponentReport r;
   r.state = static_cast<State>(w.state);
-  r.cause = cause();
+  r.cause = static_cast<Cause>(w.cause);
   r.backoff_ms = base_backoff_ms() << w.doublings;
   const std::uint64_t now = now_ms();
   if (w.state == kDegraded && w.ms > now) r.cooldown_remaining_ms = w.ms - now;
@@ -132,27 +135,40 @@ ComponentReport Latch::report() const noexcept {
 }
 
 bool Latch::degrade(Cause cause) noexcept {
-  if (state() == State::kQuarantined)
-    return false;  // terminal evidence outranks any later degradation
-  cause_.store(static_cast<int>(cause), std::memory_order_relaxed);
-  // Already DEGRADED/PROBATION: only the cause refreshed; the running
-  // cool-down keeps its deadline.
-  return update([](LatchWord& w) {
-    if (w.state != kHealthy) return false;
-    w = degraded(0);
+  const auto c = static_cast<std::uint64_t>(cause);
+  bool left = false;
+  (void)update([c, &left](LatchWord& w) {
+    left = w.state == kHealthy;
+    if (left) {
+      w = degraded(c, 0);
+      return true;
+    }
+    // Terminal evidence outranks any later degradation; DEGRADED and
+    // PROBATION only refresh the cause (the running cool-down keeps its
+    // deadline).
+    if (w.state == kQuarantined || w.cause == c) return false;
+    w.cause = c;
     return true;
   });
+  return left;
 }
 
-void Latch::quarantine(Cause cause) noexcept {
-  cause_.store(static_cast<int>(cause), std::memory_order_relaxed);
-  word_.store(LatchWord{kQuarantined, 0, 0, 0, 0}, std::memory_order_release);
+bool Latch::quarantine(Cause cause) noexcept {
+  const auto c = static_cast<std::uint64_t>(cause);
+  bool left = false;
+  (void)update([c, &left](LatchWord& w) {
+    left = w.state == kHealthy;
+    if (w.state == kQuarantined) return false;
+    w = LatchWord{kQuarantined, c, 0, 0, 0, 0};
+    return true;
+  });
+  return left;
 }
 
 bool Latch::recover() noexcept {
   return update([](LatchWord& w) {
     if (w.state != kDegraded && w.state != kProbation) return false;
-    w = LatchWord{};
+    w = healthy(w.cause);
     return true;
   });
 }
@@ -164,7 +180,7 @@ bool Latch::try_begin_probation() noexcept {
   // PROBATION, so no admission of the new window can be lost.
   return update([now](LatchWord& w) {
     if (w.state != kDegraded || now < w.ms) return false;
-    w = LatchWord{kProbation, w.doublings, 0, 0, now};
+    w = LatchWord{kProbation, w.cause, w.doublings, 0, 0, now};
     return true;
   });
 }
@@ -218,7 +234,6 @@ void Latch::expire() noexcept {
 
 void Latch::reset() noexcept {
   word_.store(LatchWord{}, std::memory_order_release);
-  cause_.store(static_cast<int>(Cause::kNone), std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -238,23 +253,9 @@ void report_degraded(Component c, Cause cause) noexcept {
   (void)latch(c).degrade(cause);
 }
 
-void report_quarantined(Component c, Cause cause) noexcept {
-  latch(c).quarantine(cause);
-}
-
 void report_recovered(Component c) noexcept {
   if (latch(c).recover()) telemetry::note(Counter::kRecoveries);
 }
-
-bool try_begin_probation(Component c) noexcept {
-  return latch(c).try_begin_probation();
-}
-
-void probation_succeeded(Component c) noexcept {
-  latch(c).end_probation(true);
-}
-
-void probation_failed(Component c) noexcept { latch(c).end_probation(false); }
 
 bool probe_faulted() noexcept {
   telemetry::note(Counter::kProbationProbes);
@@ -271,8 +272,6 @@ bool run_probation(Component c, bool (*probe)() noexcept) noexcept {
 }
 
 State state(Component c) noexcept { return latch(c).state(); }
-
-Cause cause(Component c) noexcept { return latch(c).cause(); }
 
 ComponentReport component_report(Component c) noexcept {
   return latch(c).report();

@@ -31,11 +31,11 @@
 // the base), so a genuinely broken unit converges to near-zero probe
 // traffic while a transiently broken one recovers in one cool-down.
 //
-// The registry keeps one latch per Component (the free functions below
-// forward to it); each engine::GemmStream keeps one for its circuit
-// breaker, whose half-open trials run through the latch's probation
-// window (at most SHALOM_PROBATION_N admitted trials, closed by as many
-// clean ones).
+// The registry keeps one latch per Component; each engine::GemmStream
+// keeps one for its circuit breaker, whose half-open trials run through
+// the latch's probation window (at most SHALOM_PROBATION_N admitted
+// trials, closed by as many clean ones); selfcheck keeps one per kernel
+// variant, whose re-probes the kKernels row gates.
 //
 // Recovery is passive: the degraded code paths themselves try to begin a
 // probation when they run (a submit on a latched stream, a parallel
@@ -63,8 +63,8 @@ namespace shalom {
 namespace health {
 
 /// Degradable units the registry tracks. One latch per *component*, not
-/// per instance: the 29 kernel variants aggregate into kKernels (their
-/// per-variant verdicts live in common/selfcheck.h) and every stream's
+/// per instance: the 30 kernel variants aggregate into kKernels (each
+/// keeps its own latch in common/selfcheck.cpp) and every stream's
 /// breaker aggregates into kStreamBreaker (each stream keeps its own
 /// breaker latch in core/engine.cpp).
 enum class Component : int {
@@ -128,23 +128,25 @@ struct ComponentReport {
 // ---------------------------------------------------------------------------
 
 /// Latch's packed state word, low bits first. 7-bit counts hold any
-/// SHALOM_PROBATION_N (<= 64); 45 bits of milliseconds outlast any
-/// process.
+/// SHALOM_PROBATION_N (<= 64); 42 bits of milliseconds (139 years)
+/// outlast any process.
 struct LatchWord {
   std::uint64_t state : 2;      // State
+  std::uint64_t cause : 3;      // Cause: why it last left HEALTHY
   std::uint64_t doublings : 3;  // backoff doublings: cool-down = base << n
   std::uint64_t admitted : 7;   // trials admitted into the open window
   std::uint64_t clean : 7;      // clean trials reported in the window
-  std::uint64_t ms : 45;        // DEGRADED: the cool-down deadline;
+  std::uint64_t ms : 42;        // DEGRADED: the cool-down deadline;
                                 // PROBATION: the window's open time
 };
 
 /// The state machine in the header comment, lock-free and safe from any
-/// thread. State, backoff doublings, the open probation window's
+/// thread. State, cause, backoff doublings, the open probation window's
 /// admitted and clean counts, and the cool-down deadline share one
 /// atomic word, so every transition is a single CAS: a window's counts
-/// are zeroed in the same CAS that publishes PROBATION, and no reader
-/// ever sees a state paired with another transition's deadline.
+/// are zeroed in the same CAS that publishes PROBATION, a cause can never
+/// land on a state another transition published, and no reader ever sees
+/// a state paired with another transition's deadline.
 ///
 /// A probation has one of two shapes. Single-owner: try_begin_probation()
 /// returns true to exactly one caller, who runs its probe and finishes
@@ -162,7 +164,10 @@ class Latch {
   /// ignored.
   using Window = std::uint64_t;
 
-  State state() const noexcept;
+  /// Inline: selfcheck's verified-dispatch path is this one load.
+  State state() const noexcept {
+    return static_cast<State>(word_.load(std::memory_order_acquire).state);
+  }
   Cause cause() const noexcept;
   ComponentReport report() const noexcept;
 
@@ -171,12 +176,16 @@ class Latch {
   /// cool-down keeps its deadline); QUARANTINED is sticky.
   bool degrade(Cause cause) noexcept;
 
-  /// Any state -> QUARANTINED. Terminal: nothing re-probes it.
-  void quarantine(Cause cause) noexcept;
+  /// Any other state -> QUARANTINED. Terminal: nothing re-probes or
+  /// recovers it, and its cause stays the first evidence's. True when
+  /// this call left HEALTHY (a DEGRADED or PROBATION latch was already
+  /// counted out of service when it degraded).
+  bool quarantine(Cause cause) noexcept;
 
   /// DEGRADED/PROBATION -> HEALTHY outside any probation protocol; true
   /// on that transition. Counts nothing: the caller decides whether the
-  /// transition restored anything.
+  /// transition restored anything. The cause stays as why the latch last
+  /// left HEALTHY.
   bool recover() noexcept;
 
   /// DEGRADED -> PROBATION when recovery is enabled and the cool-down
@@ -215,7 +224,6 @@ class Latch {
   bool update(Step step) noexcept;
 
   std::atomic<LatchWord> word_{LatchWord{}};
-  std::atomic<int> cause_{static_cast<int>(Cause::kNone)};
 };
 static_assert(std::atomic<LatchWord>::is_always_lock_free);
 
@@ -229,28 +237,11 @@ Latch& latch(Component c) noexcept;
 /// Records that a unit of `c` degraded for `cause` (Latch::degrade).
 void report_degraded(Component c, Cause cause) noexcept;
 
-/// Records terminal evidence against `c`: any state -> QUARANTINED.
-/// try_begin_probation() never fires for a quarantined component.
-void report_quarantined(Component c, Cause cause) noexcept;
-
 /// Records that `c` is serving at full capacity again, regardless of how
 /// it got there (a passive path observed success, or a probation streak
 /// completed). DEGRADED/PROBATION -> HEALTHY; counts a recovery only
 /// when the state actually changed. QUARANTINED is sticky.
 void report_recovered(Component c) noexcept;
-
-/// One probation step: if `c` is DEGRADED, recovery is enabled, and the
-/// cool-down deadline has passed, atomically moves it to PROBATION and
-/// returns true - the caller now owns running the probe and MUST finish
-/// with probation_succeeded() or probation_failed(). Returns false in
-/// every other case (wrong state, recovery disabled, cool-down pending,
-/// lost the race to another caller).
-bool try_begin_probation(Component c) noexcept;
-
-/// Ends a probation begun by try_begin_probation()
-/// (Latch::end_probation).
-void probation_succeeded(Component c) noexcept;
-void probation_failed(Component c) noexcept;
 
 /// Per-probe bookkeeping every probation probe calls first: counts the
 /// probe and evaluates the `health.probe` fault site. Returns true when
@@ -267,7 +258,6 @@ bool probe_faulted() noexcept;
 bool run_probation(Component c, bool (*probe)() noexcept) noexcept;
 
 State state(Component c) noexcept;
-Cause cause(Component c) noexcept;
 ComponentReport component_report(Component c) noexcept;
 
 /// True when every component is kHealthy.

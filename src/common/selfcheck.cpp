@@ -262,18 +262,18 @@ namespace {
 // Per-variant state and probe dispatch
 // ---------------------------------------------------------------------------
 
-// Verdict publication is CAS-based (no lock), so this state lives
-// outside the thread-safety-analysis capabilities; the explicit
-// memory-order discipline below (acq_rel publish / acquire read) is what
-// shalom_lint's atomic-memory-order rule pins down.
-std::atomic<int> g_state[kVariantCount];
+// One recovery latch per variant (common/health.h), carrying the verdict
+// and its cause: HEALTHY while the variant may be dispatched, DEGRADED
+// for a recoverable quarantine (mismatch, injected), QUARANTINED for
+// trap evidence. A variant latch never enters PROBATION: the kKernels
+// registry row gates the re-probes (try_recover_quarantined).
+health::Latch g_latch[kVariantCount];
 
-// Why each variant was last quarantined (health::Cause as int; kNone for
-// never-quarantined). Written before the quarantine verdict publishes and
-// read after observing it, so relaxed is enough for the value to be a
-// best-effort diagnostic; recoverability decisions re-read it only while
-// the variant is observably quarantined.
-std::atomic<int> g_cause[kVariantCount];
+// Set once a verdict stands (a probe published, or a guard rail
+// quarantined the variant): tells a never-probed HEALTHY variant from a
+// verified one. Released after the latch transition it follows, so a
+// reader that acquires it and then loads the latch sees that verdict.
+std::atomic<bool> g_decided[kVariantCount];
 
 /// The probe of list row I: its case-table row through its runner.
 template <int I>
@@ -356,33 +356,32 @@ bool run_probe(Variant v, health::Cause* cause) noexcept {
   return ctx.ok;
 }
 
+/// Records failure evidence against `v`: a mismatch or an injected fault
+/// degrades its latch (recoverable), any other cause quarantines it for
+/// good. True for the one call that took `v` out of HEALTHY, which counts
+/// the quarantine and reports it to the kKernels row.
+bool latch_failure(Variant v, health::Cause cause) noexcept {
+  health::Latch& l = g_latch[static_cast<int>(v)];
+  const bool recoverable =
+      cause == health::Cause::kMismatch || cause == health::Cause::kInjected;
+  if (!(recoverable ? l.degrade(cause) : l.quarantine(cause))) return false;
+  telemetry::note(Counter::kKernelsQuarantined);
+  health::report_degraded(health::Component::kKernels, cause);
+  return true;
+}
+
 /// Runs the probe and publishes the verdict. Concurrent first callers may
-/// both probe (harmless: probes are pure), but the CAS guarantees exactly
-/// one verdict wins and the quarantine counter/diagnostic fire once.
-int probe_and_publish(Variant v) noexcept {
+/// both probe (harmless: probes are pure); a failure outranks a clean
+/// probe, and the latch lets only one call count and report it.
+void probe_and_publish(Variant v) noexcept {
   health::Cause cause = health::Cause::kNone;
-  const bool ok = run_probe(v, &cause);
-  const int verdict = static_cast<int>(ok ? Status::kVerified
-                                          : Status::kQuarantined);
-  if (!ok)
-    g_cause[static_cast<int>(v)].store(static_cast<int>(cause),
-                                       std::memory_order_relaxed);
-  int expected = static_cast<int>(Status::kUnknown);
-  if (g_state[static_cast<int>(v)].compare_exchange_strong(
-          expected, verdict, std::memory_order_acq_rel,
-          std::memory_order_acquire)) {
-    if (!ok) {
-      telemetry::note(Counter::kKernelsQuarantined);
-      health::report_degraded(health::Component::kKernels, cause);
-      std::fprintf(stderr,
-                   "shalom: selfcheck: probe failed for kernel variant "
-                   "'%s' (cause: %s); quarantined (dispatch re-routes to "
-                   "a verified fallback)\n",
-                   variant_name(v), health::cause_name(cause));
-    }
-    return verdict;
-  }
-  return expected;
+  if (!run_probe(v, &cause) && latch_failure(v, cause))
+    std::fprintf(stderr,
+                 "shalom: selfcheck: probe failed for kernel variant "
+                 "'%s' (cause: %s); quarantined (dispatch re-routes to "
+                 "a verified fallback)\n",
+                 variant_name(v), health::cause_name(cause));
+  g_decided[static_cast<int>(v)].store(true, std::memory_order_release);
 }
 
 }  // namespace
@@ -393,28 +392,30 @@ const char* variant_name(Variant v) noexcept {
 }
 
 Status status(Variant v) noexcept {
-  return static_cast<Status>(
-      g_state[static_cast<int>(v)].load(std::memory_order_acquire));
+  const int i = static_cast<int>(v);
+  const bool decided = g_decided[i].load(std::memory_order_acquire);
+  if (g_latch[i].state() != health::State::kHealthy)
+    return Status::kQuarantined;
+  return decided ? Status::kVerified : Status::kUnknown;
 }
 
 health::Cause quarantine_cause(Variant v) noexcept {
-  return static_cast<health::Cause>(
-      g_cause[static_cast<int>(v)].load(std::memory_order_relaxed));
+  const health::Latch& l = g_latch[static_cast<int>(v)];
+  return l.state() == health::State::kHealthy ? health::Cause::kNone
+                                              : l.cause();
 }
 
 bool variant_ok(Variant v) noexcept {
-  int s = g_state[static_cast<int>(v)].load(std::memory_order_acquire);
-  if (s == static_cast<int>(Status::kUnknown)) s = probe_and_publish(v);
-  if (s == static_cast<int>(Status::kQuarantined)) {
-    // Passive on-path recovery: dispatching a quarantined variant is
-    // already the slow path, so it doubles as the probation trigger.
-    // try_recover_quarantined() early-outs on one state load until the
-    // registry cool-down elapses; when it fires it probes trap-contained
-    // and may restore this very variant for the current call.
-    if (try_recover_quarantined())
-      s = g_state[static_cast<int>(v)].load(std::memory_order_acquire);
-  }
-  return s == static_cast<int>(Status::kVerified);
+  const int i = static_cast<int>(v);
+  if (!g_decided[i].load(std::memory_order_acquire)) probe_and_publish(v);
+  const health::Latch& l = g_latch[i];
+  if (l.state() == health::State::kHealthy) return true;
+  // Passive on-path recovery: dispatching a quarantined variant is
+  // already the slow path, so it doubles as the probation trigger.
+  // try_recover_quarantined() early-outs on one state load until the
+  // registry cool-down elapses; when it fires it probes trap-contained
+  // and may restore this very variant for the current call.
+  return try_recover_quarantined() && l.state() == health::State::kHealthy;
 }
 
 int run_all() noexcept {
@@ -425,86 +426,53 @@ int run_all() noexcept {
 }
 
 void quarantine(Variant v, health::Cause cause) noexcept {
-  // Override whatever verdict stands (including kVerified: the guard rail
-  // saw the variant misbehave in production, which outranks its probe).
-  // Loop the CAS so a concurrent publisher cannot resurrect the variant;
-  // count/diagnose only on the actual transition into quarantine.
-  g_cause[static_cast<int>(v)].store(static_cast<int>(cause),
-                                     std::memory_order_relaxed);
-  std::atomic<int>& slot = g_state[static_cast<int>(v)];
-  int prior = slot.load(std::memory_order_acquire);
-  while (prior != static_cast<int>(Status::kQuarantined)) {
-    if (slot.compare_exchange_weak(prior,
-                                   static_cast<int>(Status::kQuarantined),
-                                   std::memory_order_acq_rel,
-                                   std::memory_order_acquire)) {
-      telemetry::note(Counter::kKernelsQuarantined);
-      health::report_degraded(health::Component::kKernels, cause);
-      std::fprintf(stderr,
-                   "shalom: guard: kernel variant '%s' quarantined after a "
-                   "guard-rail violation (cause: %s; dispatch re-routes to "
-                   "a verified fallback)\n",
-                   variant_name(v), health::cause_name(cause));
-      return;
-    }
-  }
+  // Overrides whatever verdict stands (including a verified one: the
+  // guard rail saw the variant misbehave in production, which outranks
+  // its probe), and decides a never-probed variant.
+  if (latch_failure(v, cause))
+    std::fprintf(stderr,
+                 "shalom: guard: kernel variant '%s' quarantined after a "
+                 "guard-rail violation (cause: %s; dispatch re-routes to "
+                 "a verified fallback)\n",
+                 variant_name(v), health::cause_name(cause));
+  g_decided[static_cast<int>(v)].store(true, std::memory_order_release);
 }
 
 namespace {
 
-/// The kernels component's probation probe: re-probes every variant whose
-/// quarantine cause is recoverable and restores the ones with a clean
-/// streak. True when no quarantined variant remains.
+/// The kernels component's probation probe: re-probes every variant in
+/// a recoverable quarantine (a DEGRADED latch; QUARANTINED is terminal)
+/// and restores the ones with a clean streak. True when no quarantined
+/// variant remains.
 bool probe_quarantined_variants() noexcept {
   using health::Cause;
   const long streak = health::env_probation_n();
   for (int i = 0; i < kVariantCount; ++i) {
-    std::atomic<int>& slot = g_state[i];
-    if (slot.load(std::memory_order_acquire) !=
-        static_cast<int>(Status::kQuarantined))
-      continue;
-    const Cause cause =
-        static_cast<Cause>(g_cause[i].load(std::memory_order_relaxed));
-    if (cause != Cause::kMismatch && cause != Cause::kInjected)
-      continue;  // trap evidence (or unknown cause): permanent by default
+    health::Latch& l = g_latch[i];
+    if (l.state() != health::State::kDegraded) continue;
     const Variant v = static_cast<Variant>(i);
+    const Cause was = l.cause();
     bool clean = true;
-    Cause probe_cause = Cause::kNone;
-    for (long p = 0; p < streak && clean; ++p) {
-      if (health::probe_faulted() || !run_probe(v, &probe_cause))
-        clean = false;
-    }
+    Cause cause = Cause::kNone;
+    for (long p = 0; p < streak && clean; ++p)
+      clean = !health::probe_faulted() && run_probe(v, &cause);
     if (!clean) {
-      // The re-probe itself failed: keep the quarantine, refresh the
-      // cause so diagnostics reflect the latest evidence (a variant that
-      // now traps becomes permanent).
-      if (probe_cause != Cause::kNone)
-        g_cause[i].store(static_cast<int>(probe_cause),
-                         std::memory_order_relaxed);
-      continue;
-    }
-    int expected = static_cast<int>(Status::kQuarantined);
-    if (slot.compare_exchange_strong(expected,
-                                     static_cast<int>(Status::kVerified),
-                                     std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-      g_cause[i].store(static_cast<int>(Cause::kNone),
-                       std::memory_order_relaxed);
+      // The re-probe itself failed: the quarantine stays and records the
+      // latest evidence (a variant that now traps becomes permanent).
+      if (cause != Cause::kNone) (void)latch_failure(v, cause);
+    } else if (l.recover()) {  // fails if trap evidence arrived meanwhile
       std::fprintf(stderr,
                    "shalom: selfcheck: kernel variant '%s' restored after "
                    "%ld clean probation probes (was quarantined: %s)\n",
-                   variant_name(v), streak, health::cause_name(cause));
+                   variant_name(v), streak, health::cause_name(was));
     }
   }
 
   // Component verdict: HEALTHY only when no quarantined variants remain
   // (permanently trap-quarantined variants keep the component degraded,
   // with the exponential backoff capping the residual probe traffic).
-  for (int i = 0; i < kVariantCount; ++i) {
-    if (g_state[i].load(std::memory_order_acquire) ==
-        static_cast<int>(Status::kQuarantined))
-      return false;
-  }
+  for (const health::Latch& l : g_latch)
+    if (l.state() != health::State::kHealthy) return false;
   return true;
 }
 
@@ -521,10 +489,8 @@ void set_probe_body_for_testing(bool (*fn)(Variant)) noexcept {
 
 void reset_for_testing() noexcept {
   for (int i = 0; i < kVariantCount; ++i) {
-    g_state[i].store(static_cast<int>(Status::kUnknown),
-                     std::memory_order_release);
-    g_cause[i].store(static_cast<int>(health::Cause::kNone),
-                     std::memory_order_relaxed);
+    g_latch[i].reset();
+    g_decided[i].store(false, std::memory_order_release);
   }
 }
 

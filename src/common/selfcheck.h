@@ -20,7 +20,7 @@
 // layer's (kind, type, width, access) -> id lookups are generated from it.
 //
 // Probing is lazy by default (first dispatch of a variant pays one probe,
-// cached in a per-variant atomic tri-state) or eager via run_all() /
+// whose verdict the variant's health::Latch keeps) or eager via run_all() /
 // shalom_selftest() / SHALOM_SELFTEST=1. Probes are observable through
 // RobustnessStats (selfchecks_run, kernels_quarantined) and injectable
 // through fault::Site::kSelfcheckProbe, which is how the test suite forces
@@ -153,12 +153,15 @@ constexpr int find_variant(Kind kind, Dtype dtype, int width, Access a,
   return -1;
 }
 
-/// Per-variant verification state. kUnknown means the variant has never
-/// been probed; the first variant_ok() / run_all() that reaches it decides
-/// the verdict. A quarantine verdict is permanent when recovery is
-/// disabled (SHALOM_RECOVERY_MS=0) or the cause is a contained hardware
-/// trap; otherwise the recovery layer (common/health.h) may re-probe the
-/// variant after its cool-down and restore it on a clean probe streak.
+/// Per-variant verification state, derived from the variant's
+/// health::Latch: kQuarantined while it is DEGRADED (a recoverable cause)
+/// or QUARANTINED (trap evidence), otherwise kVerified once a verdict
+/// stands and kUnknown before. The first variant_ok() / run_all() that
+/// reaches a kUnknown variant decides its verdict. A quarantine verdict
+/// is permanent when recovery is disabled (SHALOM_RECOVERY_MS=0) or the
+/// cause is a contained hardware trap; otherwise the recovery layer
+/// (common/health.h) may re-probe the variant after its cool-down and
+/// restore it on a clean probe streak.
 enum class Status : int {
   kUnknown = 0,
   kVerified = 1,
@@ -172,18 +175,19 @@ const char* variant_name(Variant v) noexcept;
 /// Current state without triggering a probe.
 Status status(Variant v) noexcept;
 
-/// Why `v` is (or was last) quarantined: health::Cause::kMismatch for a
-/// probe result that diverged from the scalar oracle, kTrap for a
-/// contained hardware trap or guard-rail violation, kInjected for a
-/// fault-site firing, kNone for a variant never quarantined. Makes a
-/// trapped kernel and a 1-ulp mismatch distinguishable after the fact
-/// (and decides recoverability: trap-cause quarantines are permanent).
+/// Why `v` is quarantined: health::Cause::kMismatch for a probe result
+/// that diverged from the scalar oracle, kTrap for a contained hardware
+/// trap or guard-rail violation, kInjected for a fault-site firing, kNone
+/// while the variant is not quarantined. Makes a trapped kernel and a
+/// 1-ulp mismatch distinguishable after the fact (and decides
+/// recoverability: trap-cause quarantines are permanent).
 health::Cause quarantine_cause(Variant v) noexcept;
 
 /// True when the variant may be dispatched. Probes lazily on the first
-/// call per variant (thread-safe: concurrent first calls may both probe,
-/// but exactly one verdict is published). A quarantined variant stays
-/// quarantined; callers must route to a verified fallback.
+/// call per variant (thread-safe: concurrent first calls may both probe;
+/// a failed probe outranks a clean one and is counted once). A
+/// quarantined variant stays quarantined until the recovery layer
+/// restores it; callers must route to a verified fallback.
 bool variant_ok(Variant v) noexcept;
 
 /// Eagerly probes every variant (the shalom_selftest() backend). Returns
@@ -196,10 +200,11 @@ int run_all() noexcept;
 /// evidence proves a variant misbehaved (a trapped kernel, a violated
 /// arena canary - see common/guard.h), the probe verdict is overridden
 /// and dispatch permanently routes around the variant. Idempotent; the
-/// quarantine counter and diagnostic fire only on the transition. The
-/// default cause (kTrap: positive corruption evidence) marks the
-/// quarantine permanent; pass a recoverable cause only when the evidence
-/// is a probe-style failure.
+/// quarantine counter and diagnostic fire only when the variant leaves
+/// service. The default cause (kTrap: positive corruption evidence)
+/// makes the quarantine terminal, also over a recoverable quarantine
+/// whose re-probe is under way; pass a recoverable cause (kMismatch,
+/// kInjected) only when the evidence is a probe-style failure.
 void quarantine(Variant v,
                 health::Cause cause = health::Cause::kTrap) noexcept;
 
@@ -210,9 +215,10 @@ void quarantine(Variant v,
 /// variant whose quarantine cause is recoverable (mismatch/injected -
 /// never trap) trap-contained via guard::run_trapped;
 /// SHALOM_PROBATION_N consecutive clean probes restore a variant to
-/// kVerified. Returns true when the kernels component ends the pass
-/// HEALTHY. No-op returning false while the registry cool-down is still
-/// pending or recovery is disabled.
+/// kVerified unless trap evidence arrived while it was being re-probed.
+/// Returns true when the kernels component ends the pass HEALTHY. No-op
+/// returning false while the registry cool-down is still pending or
+/// recovery is disabled.
 bool try_recover_quarantined() noexcept;
 
 /// Replaces the probe implementation for every subsequent probe (nullptr

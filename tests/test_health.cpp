@@ -113,27 +113,27 @@ TEST_F(HealthTest, RegistryDegradeProbateRecover) {
   EXPECT_TRUE(health::all_healthy());
   health::report_degraded(Component::kTunedTable, Cause::kOverload);
   EXPECT_EQ(health::state(Component::kTunedTable), State::kDegraded);
-  EXPECT_EQ(health::cause(Component::kTunedTable), Cause::kOverload);
+  EXPECT_EQ(health::latch(Component::kTunedTable).cause(), Cause::kOverload);
   EXPECT_FALSE(health::all_healthy());
 
   // Degrading again does not restart the cool-down, only the cause moves.
   health::report_degraded(Component::kTunedTable, Cause::kInjected);
   EXPECT_EQ(health::state(Component::kTunedTable), State::kDegraded);
-  EXPECT_EQ(health::cause(Component::kTunedTable), Cause::kInjected);
+  EXPECT_EQ(health::latch(Component::kTunedTable).cause(), Cause::kInjected);
 
   if (!health::recovery_enabled()) {
-    EXPECT_FALSE(health::try_begin_probation(Component::kTunedTable))
+    EXPECT_FALSE(health::latch(Component::kTunedTable).try_begin_probation())
         << "SHALOM_RECOVERY_MS=0 must keep every latch permanent";
     return;
   }
   // Cool-down still pending: probation refused.
-  EXPECT_FALSE(health::try_begin_probation(Component::kTunedTable));
+  EXPECT_FALSE(health::latch(Component::kTunedTable).try_begin_probation());
   health::expire_cooldowns();
-  EXPECT_TRUE(health::try_begin_probation(Component::kTunedTable));
+  EXPECT_TRUE(health::latch(Component::kTunedTable).try_begin_probation());
   EXPECT_EQ(health::state(Component::kTunedTable), State::kProbation);
   // The probation owner is exclusive.
-  EXPECT_FALSE(health::try_begin_probation(Component::kTunedTable));
-  health::probation_succeeded(Component::kTunedTable);
+  EXPECT_FALSE(health::latch(Component::kTunedTable).try_begin_probation());
+  health::latch(Component::kTunedTable).end_probation(true);
   EXPECT_EQ(health::state(Component::kTunedTable), State::kHealthy);
   EXPECT_TRUE(health::all_healthy());
   EXPECT_GE(robustness_stats().recoveries, 1u);
@@ -162,8 +162,8 @@ TEST_F(HealthTest, RegistryProbationFailureDoublesBackoffCapped) {
   std::uint64_t want = base;
   for (int i = 0; i < 9; ++i) {
     health::expire_cooldowns();
-    ASSERT_TRUE(health::try_begin_probation(Component::kTunedTable));
-    health::probation_failed(Component::kTunedTable);
+    ASSERT_TRUE(health::latch(Component::kTunedTable).try_begin_probation());
+    health::latch(Component::kTunedTable).end_probation(false);
     EXPECT_EQ(health::state(Component::kTunedTable), State::kDegraded);
     want = std::min<std::uint64_t>(want * 2, base * 64);
     EXPECT_EQ(health::component_report(Component::kTunedTable).backoff_ms,
@@ -174,24 +174,24 @@ TEST_F(HealthTest, RegistryProbationFailureDoublesBackoffCapped) {
   EXPECT_EQ(robustness_stats().probation_failures, 9u);
   // One clean probation resets the backoff to the base.
   health::expire_cooldowns();
-  ASSERT_TRUE(health::try_begin_probation(Component::kTunedTable));
-  health::probation_succeeded(Component::kTunedTable);
+  ASSERT_TRUE(health::latch(Component::kTunedTable).try_begin_probation());
+  health::latch(Component::kTunedTable).end_probation(true);
   health::report_degraded(Component::kTunedTable, Cause::kOverload);
   EXPECT_EQ(health::component_report(Component::kTunedTable).backoff_ms,
             base);
 }
 
 TEST_F(HealthTest, RegistryQuarantineIsSticky) {
-  health::report_quarantined(Component::kKernels, Cause::kTrap);
+  health::latch(Component::kKernels).quarantine(Cause::kTrap);
   EXPECT_EQ(health::state(Component::kKernels), State::kQuarantined);
   health::expire_cooldowns();
-  EXPECT_FALSE(health::try_begin_probation(Component::kKernels))
+  EXPECT_FALSE(health::latch(Component::kKernels).try_begin_probation())
       << "terminal evidence is never re-probed";
   health::report_recovered(Component::kKernels);
   EXPECT_EQ(health::state(Component::kKernels), State::kQuarantined);
   health::report_degraded(Component::kKernels, Cause::kMismatch);
   EXPECT_EQ(health::state(Component::kKernels), State::kQuarantined);
-  EXPECT_EQ(health::cause(Component::kKernels), Cause::kTrap)
+  EXPECT_EQ(health::latch(Component::kKernels).cause(), Cause::kTrap)
       << "quarantine evidence outranks later degradations";
 }
 
@@ -202,7 +202,7 @@ TEST_F(HealthTest, RecoveryDisabledPreservesPermanentLatch) {
     GTEST_SKIP() << "needs the SHALOM_RECOVERY_MS=0 wrapper";
   health::report_degraded(Component::kTunedTable, Cause::kOverload);
   health::expire_cooldowns();
-  EXPECT_FALSE(health::try_begin_probation(Component::kTunedTable));
+  EXPECT_FALSE(health::latch(Component::kTunedTable).try_begin_probation());
   EXPECT_EQ(health::recover_now(), 0)
       << "recover_now must be inert with recovery disabled";
   EXPECT_EQ(health::state(Component::kTunedTable), State::kDegraded);
@@ -296,7 +296,7 @@ TEST_F(HealthTest, KernelQuarantineRecordsCause) {
   EXPECT_EQ(selfcheck::status(v), selfcheck::Status::kQuarantined);
   EXPECT_EQ(selfcheck::quarantine_cause(v), Cause::kInjected);
   EXPECT_EQ(health::state(Component::kKernels), State::kDegraded);
-  EXPECT_EQ(health::cause(Component::kKernels), Cause::kInjected);
+  EXPECT_EQ(health::latch(Component::kKernels).cause(), Cause::kInjected);
 }
 
 TEST_F(HealthTest, KernelInjectedQuarantineRecovers) {
@@ -382,6 +382,72 @@ TEST_F(HealthTest, KernelPassiveVariantOkRecovers) {
   EXPECT_EQ(health::state(Component::kKernels), State::kHealthy);
 }
 
+/// A probe body that reports trap evidence against the variant it is
+/// probing (as a guard rail would mid-probe) and then passes.
+bool quarantine_with_trap_then_pass(selfcheck::Variant v) {
+  selfcheck::quarantine(v, Cause::kTrap);
+  return true;
+}
+
+// Trap evidence that lands while a recoverable quarantine is being
+// re-probed is terminal: the clean streak must neither restore the
+// variant nor erase the cause, and the kernels row stays out of service.
+TEST_F(HealthTest, KernelTrapDuringReprobeStaysTerminal) {
+  if (!health::recovery_enabled())
+    GTEST_SKIP() << "recovery disabled (SHALOM_RECOVERY_MS=0)";
+  const selfcheck::Variant v = selfcheck::Variant::kEdgeF32DirectPacked;
+  selfcheck::quarantine(v, Cause::kMismatch);
+  ASSERT_EQ(selfcheck::quarantine_cause(v), Cause::kMismatch);
+
+  selfcheck::set_probe_body_for_testing(&quarantine_with_trap_then_pass);
+  health::expire_cooldowns();
+  EXPECT_FALSE(selfcheck::try_recover_quarantined());
+  selfcheck::set_probe_body_for_testing(nullptr);
+  EXPECT_EQ(selfcheck::status(v), selfcheck::Status::kQuarantined);
+  EXPECT_EQ(selfcheck::quarantine_cause(v), Cause::kTrap);
+  EXPECT_NE(health::state(Component::kKernels), State::kHealthy);
+
+  // Terminal: a later sweep with honest probes does not re-probe it.
+  health::expire_cooldowns();
+  EXPECT_FALSE(selfcheck::try_recover_quarantined());
+  EXPECT_EQ(selfcheck::status(v), selfcheck::Status::kQuarantined);
+  EXPECT_EQ(selfcheck::quarantine_cause(v), Cause::kTrap);
+}
+
+// First dispatches whose probes all fail race a guard-rail trap
+// quarantine of the same variant: the variant leaves service exactly
+// once, and the trap evidence decides where it ends.
+TEST_F(HealthTest, KernelFirstProbesRacingTrapQuarantineCountOnce) {
+  if (!SHALOM_FAULT_INJECTION)
+    GTEST_SKIP() << "built without SHALOM_FAULT_INJECTION";
+  const selfcheck::Variant v = selfcheck::Variant::kFusedTnF64;
+  const std::uint64_t before = robustness_stats().kernels_quarantined;
+  fault::arm(fault::Site::kSelfcheckProbe, fault::Mode::kEveryN, 1);
+  std::atomic<bool> go{false};
+  std::atomic<int> dispatched{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t)
+    threads.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      if (selfcheck::variant_ok(v)) dispatched.fetch_add(1);
+    });
+  threads.emplace_back([&] {
+    while (!go.load()) std::this_thread::yield();
+    selfcheck::quarantine(v, Cause::kTrap);
+  });
+  go.store(true);
+  for (std::thread& t : threads) t.join();
+  fault::disarm_all();
+
+  EXPECT_EQ(robustness_stats().kernels_quarantined - before, 1u);
+  EXPECT_EQ(dispatched.load(), 0);
+  EXPECT_EQ(selfcheck::status(v), selfcheck::Status::kQuarantined);
+  EXPECT_EQ(selfcheck::quarantine_cause(v), Cause::kTrap);
+  health::expire_cooldowns();
+  EXPECT_FALSE(selfcheck::try_recover_quarantined())
+      << "the trap verdict is terminal";
+}
+
 // ---------------------------------------------------------------------------
 // Thread-pool recovery (spawn-narrowed width re-expansion)
 // ---------------------------------------------------------------------------
@@ -395,7 +461,7 @@ TEST_F(HealthTest, PoolRespawnRestoresWidth) {
   ASSERT_EQ(pool.max_threads(), 2)
       << "second spawn fails: slot 1 runs, slots 2-3 stay threadless";
   EXPECT_EQ(health::state(Component::kThreadPool), State::kDegraded);
-  EXPECT_EQ(health::cause(Component::kThreadPool), Cause::kInjected);
+  EXPECT_EQ(health::latch(Component::kThreadPool).cause(), Cause::kInjected);
 
   EXPECT_TRUE(pool.try_recover());
   EXPECT_EQ(pool.max_threads(), 4)
@@ -939,8 +1005,8 @@ TEST_F(HealthTest, CApiStatsExposeRecoveryCounters) {
   if (health::recovery_enabled()) {
     health::report_degraded(Component::kTunedTable, Cause::kOverload);
     health::expire_cooldowns();
-    ASSERT_TRUE(health::try_begin_probation(Component::kTunedTable));
-    health::probation_failed(Component::kTunedTable);
+    ASSERT_TRUE(health::latch(Component::kTunedTable).try_begin_probation());
+    health::latch(Component::kTunedTable).end_probation(false);
     shalom_get_stats(&s);
     EXPECT_EQ(s.probation_failures, 1u);
   }
