@@ -16,7 +16,11 @@
 
 namespace shalom::bench {
 
-/// One measured cell: GFLOPS of `lib` on `shape`.
+/// One measured cell: GFLOPS of `lib` on `shape` from the fastest of
+/// `reps` timed calls, after one untimed warm-up call in warm mode (cold
+/// mode evicts the caches before every call instead). The fastest call is
+/// the one least disturbed by other load on the host, so cells stay
+/// comparable across runs.
 template <typename T>
 double measure_gflops(const baselines::Library& lib, Mode mode,
                       const workloads::GemmShape& shape, int threads,
@@ -46,11 +50,11 @@ double measure_gflops(const baselines::Library& lib, Mode mode,
       },
       reps, warm);
   return gemm_gflops(static_cast<double>(M), static_cast<double>(N),
-                     static_cast<double>(K), st.geomean_s);
+                     static_cast<double>(K), st.min_s);
 }
 
-/// Runs `libs` over `shapes` and prints a table titled `title`; the first
-/// column is the shape label, one column per library.
+/// Runs `libs` over `shapes` and prints a table titled `title` plus the
+/// statistic; the first column is the shape label, one column per library.
 template <typename T>
 void run_panel(const std::string& title,
                const std::vector<const baselines::Library*>& libs, Mode mode,
@@ -58,7 +62,7 @@ void run_panel(const std::string& title,
                const BenchOptions& opt, bool warm = true) {
   std::vector<std::string> cols = {"shape"};
   for (const auto* lib : libs) cols.push_back(lib->name);
-  Table table(title, cols);
+  Table table(title + " (best of reps)", cols);
   for (const auto& shape : shapes) {
     std::vector<double> row;
     for (const auto* lib : libs)

@@ -123,9 +123,10 @@ echo "=== tier1: AVX2 build without AVX-512 (-march=haswell) ==="
 # the ISA macros. On an AVX-512 host the native build compiles only the
 # masked-move branch; this build compiles and runs the VMASKMOVPS
 # branches (128- and 256-bit) under the kernel, wide-vector, property and
-# fuzz suites, and under the selfcheck probes and quarantine tests, which
-# vouch for every kernel variant at run time. (The NEON branch needs an
-# AArch64 toolchain.)
+# fuzz suites, under the selfcheck probes and quarantine tests, which
+# vouch for every kernel variant at run time, and under the plan and
+# parallel suites, so serial plans and parallel cells also run on the
+# 16-register build. (The NEON branch needs an AArch64 toolchain.)
 cmake -B build-hsw -S . \
       -DSHALOM_NATIVE=OFF \
       -DCMAKE_CXX_FLAGS=-march=haswell \
@@ -133,7 +134,7 @@ cmake -B build-hsw -S . \
       -DSHALOM_BUILD_EXAMPLES=OFF
 cmake --build build-hsw -j "${JOBS}"
 ctest --test-dir build-hsw --output-on-failure -j "${JOBS}" \
-      -R 'Simd|MainKernel|FusedPack|PackHook|ScalarKernel|Wide|Correct|Property|fuzz|Selfcheck|Quarantine'
+      -R 'Simd|MainKernel|FusedPack|PackHook|ScalarKernel|Wide|Correct|Property|fuzz|Selfcheck|Quarantine|GemmPlan|ParallelGemm'
 
 echo "=== tier1: ASan build, fault + stress + fuzz labels ==="
 cmake -B build-asan -S . \

@@ -1,5 +1,7 @@
 #include "baselines/naive.h"
 
+#include <cmath>
+
 namespace shalom::baselines {
 
 template <typename T>
@@ -15,9 +17,10 @@ void naive_gemm(Mode mode, index_t M, index_t N, index_t K, T alpha,
   for (index_t i = 0; i < M; ++i) {
     for (index_t j = 0; j < N; ++j) {
       T sum{};
-      for (index_t k = 0; k < K; ++k) sum += a_at(i, k) * b_at(k, j);
+      for (index_t k = 0; k < K; ++k)
+        sum = std::fma(a_at(i, k), b_at(k, j), sum);
       T& c = C[i * ldc + j];
-      c = (beta == T{0}) ? alpha * sum : beta * c + alpha * sum;
+      c = (beta == T{0}) ? alpha * sum : std::fma(beta, c, alpha * sum);
     }
   }
 }

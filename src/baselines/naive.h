@@ -2,7 +2,8 @@
 //
 // A plain triple loop with no blocking, no packing and no vectorization
 // hints. Deliberately simple so it is "obviously correct" - all tests
-// compare optimized implementations against this.
+// compare optimized implementations against this. Its multiply-adds are
+// explicit std::fma, rounded exactly as ukr::kern_scalar rounds them.
 #pragma once
 
 #include "common/matrix.h"

@@ -2,8 +2,8 @@
 //
 // Every bench prints one table per paper panel: rows are the swept
 // parameter, columns are the competing implementations, cells are GFLOPS
-// (geomean-of-reps) - the same series the paper plots. --csv switches to
-// machine-readable output for replotting.
+// (best of reps, as each table title says) - the same series the paper
+// plots. --csv switches to machine-readable output for replotting.
 #pragma once
 
 #include <string>

@@ -8,24 +8,21 @@
 
 namespace shalom {
 
-// The decision chain (blocking, packing, fused-pack eligibility, arena
-// sizing) and the loop nest both live in core/plan.cpp: gemm_serial is one
-// throwaway plan built and executed in place, which keeps it bitwise
-// identical to plan_execute on a held plan of the same shape.
+// The decision chain and the loop nest both live in core/plan.cpp:
+// gemm_serial builds a serial plan on the stack with plan_create's builder
+// and executes it, so it stays bitwise identical to plan_execute on a held
+// plan. A call that reaches no kernel returns before planning (no probe).
 template <typename T>
 void gemm_serial(Mode mode, index_t M, index_t N, index_t K, T alpha,
                  const T* A, index_t lda, const T* B, index_t ldb, T beta,
                  T* C, index_t ldc, const Config& cfg) {
   detail::check_gemm_args(mode, M, N, K, A, lda, B, ldb, C, ldc);
-  if (M == 0 || N == 0) return;
-  if (K == 0 || alpha == T{0}) {
+  if (M == 0 || N == 0 || K == 0 || alpha == T{0}) {
     detail::scale_c(M, N, beta, C, ldc);
     return;
   }
-  Config serial_cfg = cfg;
-  serial_cfg.threads = 1;
-  const GemmPlan<T> plan = plan_create<T>(mode, M, N, K, serial_cfg);
-  detail::execute_serial(plan, alpha, A, lda, B, ldb, beta, C, ldc);
+  detail::execute_serial(detail::plan_serial<T>(mode, M, N, K, cfg), alpha,
+                         A, lda, B, ldb, beta, C, ldc);
 }
 
 template void gemm_serial<float>(Mode, index_t, index_t, index_t, float,

@@ -33,6 +33,7 @@
 // between FMAs with the dependence distance the paper's Fig. 6b asks for.
 #pragma once
 
+#include <cmath>
 #include <utility>
 
 #include "common/matrix.h"
@@ -419,7 +420,8 @@ void kern_fused_pack_nt(index_t kc, const T* SHALOM_RESTRICT a, index_t lda,
 /// (models the cost existing libraries pay on remainder tiles: batched
 /// loads, no latency hiding - the Fig. 6a behaviour), for quarantined
 /// kernel families, and for in-place transposed B. Each element is the
-/// same k-ordered sum as baselines::naive_gemm.
+/// same k-ordered sum as baselines::naive_gemm, written as explicit
+/// std::fma in kern_main's order: bitwise naive's over one k-block.
 template <typename T, AAccess AA, BAccess BA>
 void kern_scalar(index_t m, index_t n, index_t kc, const T* a, index_t lda,
                  const T* b, index_t ldb, T* c, index_t ldc, T alpha,
@@ -432,10 +434,10 @@ void kern_scalar(index_t m, index_t n, index_t kc, const T* a, index_t lda,
             (AA == AAccess::kDirect) ? a[i * lda + k] : a[k * lda + i];
         const T bv =
             (BA == BAccess::kDirectTrans) ? b[j * ldb + k] : b[k * ldb + j];
-        sum += av * bv;
+        sum = std::fma(av, bv, sum);
       }
       T* cp = c + i * ldc + j;
-      *cp = (beta == T{0}) ? alpha * sum : beta * *cp + alpha * sum;
+      *cp = (beta == T{0}) ? alpha * sum : std::fma(beta, *cp, alpha * sum);
     }
   }
 }

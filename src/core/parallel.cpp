@@ -32,13 +32,11 @@ void gemm_parallel(Mode mode, index_t M, index_t N, index_t K, T alpha,
   }
 
   // The Tm x Tn partition, the tile-aligned row/col splits and the
-  // per-cell serial decisions all live in the plan layer now; a per-call
+  // per-cell serial decisions all live in the plan layer; a per-call
   // parallel GEMM is a throwaway plan executed once.
   detail::check_gemm_args(mode, M, N, K, A, lda, B, ldb, C, ldc);
-  Config resolved = cfg;
-  resolved.threads = threads;
-  const GemmPlan<T> plan = plan_create<T>(mode, M, N, K, resolved);
-  detail::execute_plan(plan, alpha, A, lda, B, ldb, beta, C, ldc);
+  plan_execute(plan_create<T>(mode, M, N, K, cfg), alpha, A, lda, B, ldb,
+               beta, C, ldc);
 }
 
 template void gemm_parallel<float>(Mode, index_t, index_t, index_t, float,

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdio>
 #include <exception>
-#include <limits>
 #include <map>
 #include <memory>
 #include <new>
@@ -30,7 +29,7 @@ namespace detail {
 
 template <typename T>
 void scale_c(index_t M, index_t N, T beta, T* C, index_t ldc) {
-  if (beta == T{1}) return;
+  if (beta == T{1} || M == 0 || N == 0) return;
   for (index_t i = 0; i < M; ++i) {
     T* row = C + i * ldc;
     if (beta == T{0}) {
@@ -46,18 +45,20 @@ template void scale_c<double>(index_t, index_t, double, double*, index_t);
 
 /// Rejects shapes whose operand element counts (M*K, K*N, M*N) or byte
 /// sizes would overflow index_t: every later sizing expression (lda math,
-/// arena_bytes, partition solving) assumes these products are representable,
+/// arena layout, partition solving) assumes these products are representable,
 /// so overflow here would be UB, not just a failed allocation.
+/// Overflow-checked multiplies: three divisions cost more than a 5x5x5 plan.
 template <typename T>
 void check_shape_bounds(index_t M, index_t N, index_t K) {
-  constexpr index_t kMaxElems =
-      std::numeric_limits<index_t>::max() / static_cast<index_t>(sizeof(T));
-  if (K > 0)
-    SHALOM_REQUIRE(M <= kMaxElems / K, ": M*K overflows; M=", M, " K=", K);
-  if (N > 0) {
-    SHALOM_REQUIRE(K <= kMaxElems / N, ": K*N overflows; K=", K, " N=", N);
-    SHALOM_REQUIRE(M <= kMaxElems / N, ": M*N overflows; M=", M, " N=", N);
-  }
+  const auto fits = [](index_t rows, index_t cols) {
+    index_t elems = 0, bytes = 0;
+    return !__builtin_mul_overflow(rows, cols, &elems) &&
+           !__builtin_mul_overflow(elems, static_cast<index_t>(sizeof(T)),
+                                   &bytes);
+  };
+  SHALOM_REQUIRE(fits(M, K), ": M*K overflows; M=", M, " K=", K);
+  SHALOM_REQUIRE(fits(K, N), ": K*N overflows; K=", K, " N=", N);
+  SHALOM_REQUIRE(fits(M, N), ": M*N overflows; M=", M, " N=", N);
 }
 
 template void check_shape_bounds<float>(index_t, index_t, index_t);
@@ -98,15 +99,9 @@ int resolve_threads(int threads) {
 
 namespace {
 
+using model::PackPlan;
 using ukr::AAccess;
 using ukr::BAccess;
-
-/// Which kernel runs each tile: the vectorized kern_main family (full tiles
-/// when `main`, remainder tiles when `edges` too) or kern_scalar.
-struct TileKernels {
-  bool main = true;
-  bool edges = true;
-};
 
 /// Runs the i0 row-tile loop of one B sliver. `a` is the block's A corner
 /// (in place) or its packed panel; `b` is the sliver, in place or packed.
@@ -164,11 +159,12 @@ constexpr auto kRowTiles = []<int... I>(std::integer_sequence<int, I...>) {
 /// probes and the arena audit blames. model::decide_packing packs every
 /// transposed operand, so a planned operand is packed or direct.
 template <typename T>
-selfcheck::Variant plan_variant(const GemmPlan<T>& p,
+selfcheck::Variant plan_variant(const SerialPlan<T>& p,
                                 selfcheck::Kind kind = selfcheck::Kind::kMain) {
   return ukr::family_variant<T>(
-      kind, p.a_packed ? AAccess::kPacked : AAccess::kDirect,
-      p.b_packed ? BAccess::kPacked : BAccess::kDirect, p.width);
+      kind, p.pack.a != PackPlan::kNone ? AAccess::kPacked : AAccess::kDirect,
+      p.pack.b != PackPlan::kNone ? BAccess::kPacked : BAccess::kDirect,
+      p.width);
 }
 
 /// Post-execution canary audit of this thread's guarded pack arena
@@ -180,7 +176,7 @@ selfcheck::Variant plan_variant(const GemmPlan<T>& p,
 /// guard.canary fault site simulates a violation for the tests. No-op
 /// when the buffer is unguarded (verify_guards is trivially true).
 template <typename T>
-void verify_pack_arena(const GemmPlan<T>& plan, AlignedBuffer& arena) {
+void verify_pack_arena(const SerialPlan<T>& plan, AlignedBuffer& arena) {
   bool intact = arena.verify_guards();
   if (SHALOM_FAULT_POINT(fault::Site::kGuardCanary)) intact = false;
   if (intact) return;
@@ -204,12 +200,11 @@ void verify_pack_arena(const GemmPlan<T>& plan, AlignedBuffer& arena) {
 /// kernel choice inside it: without an arena both operands are read in
 /// place, and a quarantined plan runs kern_scalar on every tile.
 template <typename T>
-void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
+void execute_serial(const SerialPlan<T>& plan, T alpha, const T* A,
                     index_t lda, const T* B, index_t ldb, T beta, T* C,
                     index_t ldc) {
   const index_t M = plan.m, N = plan.n, K = plan.k;
-  if (M == 0 || N == 0) return;
-  if (K == 0 || alpha == T{0}) {
+  if (M == 0 || N == 0 || K == 0 || alpha == T{0}) {
     scale_c(M, N, beta, C, ldc);
     return;
   }
@@ -217,9 +212,9 @@ void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
   const Mode mode = plan.mode;
   const model::Blocking& blk = plan.blk;
   const model::Tile& tile = plan.tile;
-  bool a_packed = plan.a_packed;
-  bool b_packed = plan.b_packed;
-  TileKernels kern{!plan.force_scalar_kernels, plan.optimized_edges};
+  bool a_packed = plan.pack.a != PackPlan::kNone;
+  bool b_packed = plan.pack.b != PackPlan::kNone;
+  TileKernels kern = plan.kern;
 
   // Grow-only: a no-op unless this thread's arena has never served a
   // problem this large. If the reservation fails, run the same nest with
@@ -232,7 +227,9 @@ void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
     try {
       if (SHALOM_FAULT_POINT(fault::Site::kAllocPackArena))
         throw std::bad_alloc();
-      arena->reserve(plan.arena_bytes);
+      arena->reserve(sizeof(T) * static_cast<std::size_t>(
+                                     plan.ac_elems + ukr::kPackSlackElems +
+                                     2 * plan.bc_sliver));
     } catch (const std::bad_alloc&) {
       telemetry::note(Counter::kFallbackNopack);
       arena = nullptr;
@@ -398,222 +395,14 @@ void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
   if (arena != nullptr) verify_pack_arena(plan, *arena);
 }
 
-template void execute_serial<float>(const GemmPlan<float>&, float,
+template void execute_serial<float>(const SerialPlan<float>&, float,
                                     const float*, index_t, const float*,
                                     index_t, float, float*, index_t);
-template void execute_serial<double>(const GemmPlan<double>&, double,
+template void execute_serial<double>(const SerialPlan<double>&, double,
                                      const double*, index_t, const double*,
                                      index_t, double, double*, index_t);
 
-template <typename T>
-void execute_plan(const GemmPlan<T>& plan, T alpha, const T* A, index_t lda,
-                  const T* B, index_t ldb, T beta, T* C, index_t ldc) {
-  if (plan.threads <= 1) {
-    execute_serial(plan, alpha, A, lda, B, ldb, beta, C, ldc);
-    return;
-  }
-  if (plan.m == 0 || plan.n == 0) return;
-  if (plan.k == 0 || alpha == T{0}) {
-    scale_c(plan.m, plan.n, beta, C, ldc);
-    return;
-  }
-
-  const Mode mode = plan.mode;
-  const int t = plan.threads;
-  // A guard-rail throw inside a worker (corruption_error from the arena
-  // audit, numeric_error from the numerical guard) must fail the GEMM
-  // call, not terminate the process (an exception escaping a pool task
-  // is std::terminate): capture the first one and rethrow it on the
-  // calling thread after the round joins.
-  Mutex err_mu;
-  std::exception_ptr first_error SHALOM_GUARDED_BY(err_mu);
-  pool_run(
-      t,
-      [&](int id) {
-        try {
-          const GemmPlan<T>& s = plan.sub[id];
-          if (s.m == 0 || s.n == 0) return;
-          const int pm = id / plan.part.tn;
-          const int pn = id % plan.part.tn;
-          const index_t i0 = plan.rows[pm];
-          const index_t j0 = plan.cols[pn];
-
-          // Shift operand views to the thread's sub-block of
-          // op(A)/op(B)/C.
-          const T* a_sub = (mode.a == Trans::N) ? A + i0 * lda : A + i0;
-          const T* b_sub = (mode.b == Trans::N) ? B + j0 : B + j0 * ldb;
-          execute_serial(s, alpha, a_sub, lda, b_sub, ldb, beta,
-                         C + i0 * ldc + j0, ldc);
-        } catch (...) {
-          MutexLock lock(err_mu);
-          if (first_error == nullptr)
-            first_error = std::current_exception();
-        }
-      },
-      plan.watchdog_ms);
-  std::exception_ptr pending;
-  {
-    MutexLock lock(err_mu);
-    pending = first_error;
-  }
-  if (pending != nullptr) std::rethrow_exception(pending);
-}
-
-template void execute_plan<float>(const GemmPlan<float>&, float,
-                                  const float*, index_t, const float*,
-                                  index_t, float, float*, index_t);
-template void execute_plan<double>(const GemmPlan<double>&, double,
-                                   const double*, index_t, const double*,
-                                   index_t, double, double*, index_t);
-
 namespace {
-
-/// Resolves which operands a plan with a decided tile, blocking and
-/// packing reads packed, gates its kernel families and lays out its arena.
-///
-/// Quarantine gate (common/selfcheck.h): the first plan that would
-/// dispatch a kernel family probes it lazily here; a failed probe routes
-/// this plan - and every later one - around the family. A quarantined
-/// main family makes every tile run kern_scalar with both operands read in
-/// place (no packing, no arena) and returns false; a quarantined edge
-/// family only disables the vectorized remainder tiles.
-template <typename T>
-bool gate_and_lay_out(GemmPlan<T>& p) {
-  p.a_packed = p.pack.a != model::PackPlan::kNone;
-  p.b_packed = p.pack.b != model::PackPlan::kNone;
-  if (!selfcheck::variant_ok(plan_variant(p))) {
-    p.force_scalar_kernels = true;
-    p.optimized_edges = false;
-    p.pack = {};
-    p.a_packed = p.b_packed = false;
-    return false;
-  }
-  if (p.optimized_edges)
-    p.optimized_edges =
-        selfcheck::variant_ok(plan_variant(p, selfcheck::Kind::kEdge));
-
-  // Arena: [Ac panel][Bc sliver 0][Bc sliver 1], each with vector slack.
-  p.ac_elems =
-      p.a_packed ? pack::a_panel_elems(p.blk.mc, p.blk.kc, p.tile.mr) : 0;
-  p.bc_sliver = p.b_packed ? pack::b_sliver_elems(p.blk.kc, p.tile.nr) +
-                                 ukr::kPackSlackElems
-                           : 0;
-  p.arena_bytes =
-      static_cast<std::size_t>(p.ac_elems + ukr::kPackSlackElems +
-                               2 * p.bc_sliver) *
-      sizeof(T);
-  return true;
-}
-
-template <typename T>
-GemmPlan<T> build_plan(Mode mode, index_t M, index_t N, index_t K,
-                       const Config& cfg) {
-  SHALOM_REQUIRE(M >= 0 && N >= 0 && K >= 0, " M=", M, " N=", N, " K=", K);
-
-  detail::check_shape_bounds<T>(M, N, K);
-
-  GemmPlan<T> p;
-  p.mode = mode;
-  p.m = M;
-  p.n = N;
-  p.k = K;
-  p.optimized_edges = cfg.optimized_edges;
-  p.watchdog_ms = cfg.watchdog_ms;
-
-  const arch::MachineDescriptor& mach = cfg.resolved_machine();
-  constexpr int kLanes = simd::vec_of_t<T>::kLanes;
-  p.tile = model::tile_for<T>(mach);
-  p.tile.mr = std::min(p.tile.mr, ukr::kMaxMr);
-  p.tile.nr = std::min(p.tile.nr, ukr::kMaxNrv * kLanes);
-
-  // Degenerate shapes: execution only ever scales C (or returns).
-  if (M == 0 || N == 0 || K == 0) return p;
-
-  const int want = detail::resolve_threads(cfg.threads);
-  if (want > 1) {
-    const model::Partition part = model::solve_partition(want, M, N, p.tile);
-    const int t = part.tm * part.tn;
-    if (t > 1) {
-      p.threads = t;
-      p.part = part;
-      p.rows = split_range(M, part.tm, p.tile.mr);
-      p.cols = split_range(N, part.tn, p.tile.nr);
-
-      Config serial_cfg = cfg;
-      serial_cfg.threads = 1;
-      p.sub.reserve(static_cast<std::size_t>(t));
-      std::size_t max_arena = 0;
-      for (int id = 0; id < t; ++id) {
-        const int pm = id / part.tn;
-        const int pn = id % part.tn;
-        const index_t m = p.rows[pm + 1] - p.rows[pm];
-        const index_t n = p.cols[pn + 1] - p.cols[pn];
-        if (m == 0 || n == 0) {
-          p.sub.emplace_back();  // empty cell: m == 0 marks "skip"
-        } else {
-          // Sub-plans never consult the tuned snapshot: a record keys
-          // the whole call, not one thread's cell of it.
-          p.sub.push_back(build_plan<T>(mode, m, n, K, serial_cfg));
-          max_arena = std::max(max_arena, p.sub.back().arena_bytes);
-        }
-      }
-      p.arena_bytes = max_arena;
-      return p;
-    }
-  }
-
-  // Serial plan: resolve the per-call decision chain once. A small NN
-  // problem whose B stays L1-resident (the library's headline workload)
-  // runs as one block over the whole problem with both operands read in
-  // place: no blocking model, no packing, and no overrides.
-  if (cfg.selective_packing && cfg.optimized_edges && mode.a == Trans::N &&
-      mode.b == Trans::N &&
-      static_cast<std::size_t>(K) * N * sizeof(T) <= mach.l1d.size_bytes &&
-      selfcheck::variant_ok(ukr::family_variant<T>(
-          selfcheck::Kind::kMain, AAccess::kDirect, BAccess::kDirect)) &&
-      selfcheck::variant_ok(ukr::family_variant<T>(
-          selfcheck::Kind::kEdge, AAccess::kDirect, BAccess::kDirect))) {
-    p.blk = {M, K, N};
-    return p;
-  }
-
-  p.blk = model::solve_blocking<T>(mach, p.tile, M, N, K);
-  if (cfg.kc_override > 0) p.blk.kc = std::min(cfg.kc_override, K);
-  if (cfg.mc_override > 0)
-    p.blk.mc = std::max<index_t>(p.tile.mr,
-                                 cfg.mc_override / p.tile.mr * p.tile.mr);
-  if (cfg.nc_override > 0)
-    p.blk.nc = std::max<index_t>(p.tile.nr,
-                                 cfg.nc_override / p.tile.nr * p.tile.nr);
-  p.pack = model::decide_packing<T>(mach, mode, M, N, K, cfg);
-  if (!gate_and_lay_out(p)) return p;
-
-  // Fused (overlapped) A packing for the transposed-A modes (Section
-  // 4.3): the first column sliver's stripes compute while streaming op(A)
-  // into Ac; later slivers reuse the packed block. Gated on the
-  // post-quarantine edge state (its edge stripes run packed-A main tiles)
-  // and the fused-TN kernel's own verdict.
-  p.a_fused = p.a_packed && p.pack.a == model::PackPlan::kPackFused &&
-              mode.a == Trans::T && p.tile.mr == ukr::kMaxMr &&
-              p.optimized_edges &&
-              selfcheck::variant_ok(ukr::family_variant<T>(
-                  selfcheck::Kind::kFusedTn, AAccess::kDirectTrans,
-                  p.b_packed ? BAccess::kPacked : BAccess::kDirect));
-  // Fused (overlapped) B packing needs in-place A reads and a full-height
-  // first stripe (the NN/NT kernels). For TN/TT it is A that gets the
-  // fused treatment (a_fused above); fusing both at once would double the
-  // pack stores inside one kernel for no benefit.
-  p.b_fusable = p.b_packed && p.pack.b == model::PackPlan::kPackFused &&
-                !p.a_packed && p.tile.mr == ukr::kMaxMr &&
-                p.tile.nr == ukr::kNrFull<T> &&
-                selfcheck::variant_ok(ukr::family_variant<T>(
-                    mode.b == Trans::N ? selfcheck::Kind::kFusedNn
-                                       : selfcheck::Kind::kFusedNt,
-                    AAccess::kDirect,
-                    mode.b == Trans::N ? BAccess::kDirect
-                                       : BAccess::kDirectTrans));
-  return p;
-}
 
 // ---------------------------------------------------------------------------
 // Tuned-blocking snapshot
@@ -644,11 +433,12 @@ TunedHistory& tuned_history() {
   return *h;
 }
 
-/// The published entry for this exact call, or nullptr when none applies
-/// (no snapshot, a non-plain Config, or no exact shape match).
+/// The published entry for this exact call at `threads` workers, or
+/// nullptr when none applies (no snapshot, a non-plain Config, or no
+/// exact shape match).
 template <typename T>
 const TunedBlocking* find_tuned(Mode mode, index_t M, index_t N, index_t K,
-                                const Config& cfg) {
+                                const Config& cfg, int threads) {
   const TunedSnapshot* snap = g_tuned.load(std::memory_order_acquire);
   if (snap == nullptr) return nullptr;
   const bool plain =
@@ -662,7 +452,7 @@ const TunedBlocking* find_tuned(Mode mode, index_t M, index_t N, index_t K,
   const TunedKey key{std::is_same_v<T, float> ? 's' : 'd',
                      mode.a == Trans::T,
                      mode.b == Trans::T,
-                     detail::resolve_threads(cfg.threads),
+                     threads,
                      M,
                      N,
                      K};
@@ -672,23 +462,184 @@ const TunedBlocking* find_tuned(Mode mode, index_t M, index_t N, index_t K,
   return it != snap->end() && key_of(*it) == key ? &*it : nullptr;
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// Plan builder
+// ---------------------------------------------------------------------------
 
-GemmPlan<float> plan_wide(int bits, index_t M, index_t N, index_t K,
-                          const arch::MachineDescriptor& mach) {
-  SHALOM_REQUIRE(ukr::width_index(bits) >= 0, " bits=", bits);
-  GemmPlan<float> p;
-  p.mode = {Trans::N, Trans::N};
+/// What every serial plan of one call shares, resolved once per call: the
+/// Config's feature flags, the machine, the clamped 128-bit tile, and the
+/// blocking overrides (Config's, or the published tuned record's for the
+/// whole call; 0 keeps the analytic value).
+struct CallInputs {
+  const Config& cfg;
+  const arch::MachineDescriptor& mach;
+  model::Tile tile;
+  model::Blocking over;
+};
+
+template <typename T>
+CallInputs resolve_call(Mode mode, index_t M, index_t N, index_t K,
+                        const Config& cfg, int threads) {
+  const arch::MachineDescriptor& mach = cfg.resolved_machine();
+  constexpr int kLanes = simd::vec_of_t<T>::kLanes;
+  model::Tile tile = model::tile_for<T>(mach);
+  tile.mr = std::min(tile.mr, ukr::kMaxMr);
+  tile.nr = std::min(tile.nr, ukr::kMaxNrv * kLanes);
+  const TunedBlocking* t = find_tuned<T>(mode, M, N, K, cfg, threads);
+  const model::Blocking over =
+      t != nullptr ? model::Blocking{t->mc, t->kc, t->nc}
+                   : model::Blocking{cfg.mc_override, cfg.kc_override,
+                                     cfg.nc_override};
+  return {cfg, mach, tile, over};
+}
+
+/// The serial decision chain, for the whole call or one parallel cell.
+/// Fills `p` where it lives: copying a freshly built plan costs a
+/// store-forwarding stall that shows at the tiny shapes.
+template <typename T>
+void build_serial(const CallInputs& in, Mode mode, index_t M, index_t N,
+                  index_t K, SerialPlan<T>& p) {
+  p.mode = mode;
   p.m = M;
   p.n = N;
   p.k = K;
-  p.width = bits;
+  p.tile = in.tile;
+  // Degenerate shapes: execution only ever scales C, and no kernel family
+  // is probed.
+  if (M == 0 || N == 0 || K == 0) return;
+
+  // A small NN problem whose B stays L1-resident (the library's headline
+  // workload) runs as one block over the whole problem with both operands
+  // read in place: no blocking model, no packing, and no overrides.
+  const Config& cfg = in.cfg;
+  if (cfg.selective_packing && cfg.optimized_edges && mode.a == Trans::N &&
+      mode.b == Trans::N &&
+      static_cast<std::size_t>(K) * N * sizeof(T) <= in.mach.l1d.size_bytes &&
+      selfcheck::variant_ok(ukr::family_variant<T>(
+          selfcheck::Kind::kMain, AAccess::kDirect, BAccess::kDirect)) &&
+      selfcheck::variant_ok(ukr::family_variant<T>(
+          selfcheck::Kind::kEdge, AAccess::kDirect, BAccess::kDirect))) {
+    p.blk = {M, K, N};
+    return;
+  }
+
+  p.blk = model::solve_blocking<T>(in.mach, p.tile, M, N, K);
+  if (in.over.kc > 0) p.blk.kc = std::min(in.over.kc, K);
+  if (in.over.mc > 0)
+    p.blk.mc =
+        std::max<index_t>(p.tile.mr, in.over.mc / p.tile.mr * p.tile.mr);
+  if (in.over.nc > 0)
+    p.blk.nc =
+        std::max<index_t>(p.tile.nr, in.over.nc / p.tile.nr * p.tile.nr);
+  p.pack = model::decide_packing<T>(in.mach, mode, M, N, K, cfg);
+
+  // Quarantine gate (common/selfcheck.h): the first plan that would
+  // dispatch a kernel family probes it lazily here; a failed probe routes
+  // this plan - and every later one - around the family. A quarantined
+  // main family makes every tile run kern_scalar with both operands read
+  // in place (no packing, no arena); a quarantined edge family only
+  // disables the vectorized remainder tiles.
+  if (!selfcheck::variant_ok(plan_variant(p))) {
+    p.kern = {false, false};
+    p.pack = {};
+    return;
+  }
+  p.kern.edges = cfg.optimized_edges &&
+                 selfcheck::variant_ok(plan_variant(p, selfcheck::Kind::kEdge));
+
+  // Arena: [Ac panel][Bc sliver 0][Bc sliver 1], each with vector slack.
+  const bool a_packed = p.pack.a != PackPlan::kNone;
+  const bool b_packed = p.pack.b != PackPlan::kNone;
+  p.ac_elems = a_packed ? pack::a_panel_elems(p.blk.mc, p.blk.kc, p.tile.mr)
+                        : 0;
+  p.bc_sliver = b_packed ? pack::b_sliver_elems(p.blk.kc, p.tile.nr) +
+                               ukr::kPackSlackElems
+                         : 0;
+  // Fused (overlapped) A packing for the transposed-A modes (Section
+  // 4.3): the first column sliver's stripes compute while streaming op(A)
+  // into Ac; later slivers reuse the packed block. Gated on the
+  // post-quarantine edge state (its edge stripes run packed-A main tiles)
+  // and the fused-TN kernel's own verdict.
+  p.a_fused = p.pack.a == PackPlan::kPackFused && mode.a == Trans::T &&
+              p.tile.mr == ukr::kMaxMr && p.kern.edges &&
+              selfcheck::variant_ok(ukr::family_variant<T>(
+                  selfcheck::Kind::kFusedTn, AAccess::kDirectTrans,
+                  b_packed ? BAccess::kPacked : BAccess::kDirect));
+  // Fused (overlapped) B packing needs in-place A reads and a full-height
+  // first stripe (the NN/NT kernels). For TN/TT it is A that gets the
+  // fused treatment (a_fused above); fusing both at once would double the
+  // pack stores inside one kernel for no benefit.
+  p.b_fusable = p.pack.b == PackPlan::kPackFused && !a_packed &&
+                p.tile.mr == ukr::kMaxMr &&
+                p.tile.nr == ukr::kNrFull<T> &&
+                selfcheck::variant_ok(ukr::family_variant<T>(
+                    mode.b == Trans::N ? selfcheck::Kind::kFusedNn
+                                       : selfcheck::Kind::kFusedNt,
+                    AAccess::kDirect,
+                    mode.b == Trans::N ? BAccess::kDirect
+                                       : BAccess::kDirectTrans));
+}
+
+template <typename T>
+GemmPlan<T> build_plan(Mode mode, index_t M, index_t N, index_t K,
+                       const Config& cfg, int threads) {
+  const CallInputs in = resolve_call<T>(mode, M, N, K, cfg, threads);
+  GemmPlan<T> p;
+  p.watchdog_ms = cfg.watchdog_ms;
+  const model::Partition part =
+      threads > 1 && M > 0 && N > 0 && K > 0
+          ? model::solve_partition(threads, M, N, in.tile)
+          : model::Partition{};
+  if (part.tm * part.tn == 1) {
+    build_serial<T>(in, mode, M, N, K, p);
+    return p;
+  }
+
+  // Parallel plan: the tile-aligned Tm x Tn grid, one serial cell per
+  // thread. The partition gives every cell at least one tile.
+  static_cast<SerialPlan<T>&>(p) = {
+      .mode = mode, .m = M, .n = N, .k = K, .tile = in.tile};
+  const std::vector<index_t> rows = split_range(M, part.tm, in.tile.mr);
+  const std::vector<index_t> cols = split_range(N, part.tn, in.tile.nr);
+  p.cells.resize(static_cast<std::size_t>(part.tm * part.tn));
+  for (int pm = 0; pm < part.tm; ++pm) {
+    for (int pn = 0; pn < part.tn; ++pn) {
+      typename GemmPlan<T>::Cell& cell = p.cells[pm * part.tn + pn];
+      cell.i0 = rows[pm];
+      cell.j0 = cols[pn];
+      build_serial<T>(in, mode, rows[pm + 1] - rows[pm],
+                      cols[pn + 1] - cols[pn], K, cell.plan);
+    }
+  }
+  return p;
+}
+
+}  // namespace
+
+template <typename T>
+SerialPlan<T> plan_serial(Mode mode, index_t M, index_t N, index_t K,
+                          const Config& cfg) {
+  SerialPlan<T> p;
+  build_serial<T>(resolve_call<T>(mode, M, N, K, cfg, 1), mode, M, N, K, p);
+  return p;
+}
+
+template SerialPlan<float> plan_serial<float>(Mode, index_t, index_t,
+                                              index_t, const Config&);
+template SerialPlan<double> plan_serial<double>(Mode, index_t, index_t,
+                                                index_t, const Config&);
+
+SerialPlan<float> plan_wide(int bits, index_t M, index_t N, index_t K,
+                            const arch::MachineDescriptor& mach) {
+  SHALOM_REQUIRE(ukr::width_index(bits) >= 0, " bits=", bits);
+  // Without selective packing the builder packs both operands ahead.
+  Config always_pack;
+  always_pack.selective_packing = false;
   const contracts::Tile t = ukr::family_tile<float>(bits);
-  p.tile = {t.mr, t.nr};
-  if (M == 0 || N == 0 || K == 0) return p;
-  p.blk = model::solve_blocking<float>(mach, p.tile, M, N, K);
-  p.pack = {model::PackPlan::kPackAhead, model::PackPlan::kPackAhead, 0};
-  gate_and_lay_out(p);
+  SerialPlan<float> p;
+  p.width = bits;
+  build_serial<float>({always_pack, mach, {t.mr, t.nr}, {}},
+                      {Trans::N, Trans::N}, M, N, K, p);
   return p;
 }
 
@@ -719,14 +670,10 @@ void reset_tuned() {
 template <typename T>
 GemmPlan<T> plan_create(Mode mode, index_t M, index_t N, index_t K,
                         const Config& cfg) {
-  if (const TunedBlocking* t = detail::find_tuned<T>(mode, M, N, K, cfg)) {
-    Config tuned = cfg;
-    tuned.kc_override = t->kc;
-    tuned.mc_override = t->mc;
-    tuned.nc_override = t->nc;
-    return detail::build_plan<T>(mode, M, N, K, tuned);
-  }
-  return detail::build_plan<T>(mode, M, N, K, cfg);
+  SHALOM_REQUIRE(M >= 0 && N >= 0 && K >= 0, " M=", M, " N=", N, " K=", K);
+  detail::check_shape_bounds<T>(M, N, K);
+  return detail::build_plan<T>(mode, M, N, K, cfg,
+                               detail::resolve_threads(cfg.threads));
 }
 
 template GemmPlan<float> plan_create<float>(Mode, index_t, index_t, index_t,
@@ -739,7 +686,43 @@ void plan_execute(const GemmPlan<T>& plan, T alpha, const T* A, index_t lda,
                   const T* B, index_t ldb, T beta, T* C, index_t ldc) {
   detail::check_gemm_args(plan.mode, plan.m, plan.n, plan.k, A, lda, B, ldb,
                           C, ldc);
-  detail::execute_plan(plan, alpha, A, lda, B, ldb, beta, C, ldc);
+  if (plan.cells.empty()) {
+    detail::execute_serial(plan, alpha, A, lda, B, ldb, beta, C, ldc);
+    return;
+  }
+
+  const Mode mode = plan.mode;
+  // A guard-rail throw inside a worker (corruption_error from the arena
+  // audit, numeric_error from the numerical guard) must fail the GEMM
+  // call, not terminate the process (an exception escaping a pool task
+  // is std::terminate): capture the first one and rethrow it on the
+  // calling thread after the round joins.
+  Mutex err_mu;
+  std::exception_ptr first_error SHALOM_GUARDED_BY(err_mu);
+  pool_run(
+      static_cast<int>(plan.cells.size()),
+      [&](int id) {
+        try {
+          const auto& [i0, j0, cell] = plan.cells[id];
+          // Shift operand views to the thread's sub-block of
+          // op(A)/op(B)/C.
+          const T* a_sub = (mode.a == Trans::N) ? A + i0 * lda : A + i0;
+          const T* b_sub = (mode.b == Trans::N) ? B + j0 : B + j0 * ldb;
+          detail::execute_serial(cell, alpha, a_sub, lda, b_sub, ldb, beta,
+                                 C + i0 * ldc + j0, ldc);
+        } catch (...) {
+          MutexLock lock(err_mu);
+          if (first_error == nullptr)
+            first_error = std::current_exception();
+        }
+      },
+      plan.watchdog_ms);
+  std::exception_ptr pending;
+  {
+    MutexLock lock(err_mu);
+    pending = first_error;
+  }
+  if (pending != nullptr) std::rethrow_exception(pending);
 }
 
 template void plan_execute<float>(const GemmPlan<float>&, float,

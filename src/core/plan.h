@@ -1,13 +1,13 @@
 // Execution plans: snapshots of every per-call GEMM decision.
 //
-// A GemmPlan captures everything `shalom::gemm` derives from (mode, M, N,
-// K, Config) before any arithmetic happens: the register tile, the cache
-// blocking (core/model.h), the packing decision and fused-pack eligibility
-// flags, the pack-arena byte budget, and - for multi-threaded plans - the
-// Tm x Tn partition together with one serial sub-plan per thread cell.
-// Every gemm call builds a plan in place and executes it; a caller that
-// repeats one shape can hold the plan and call plan_execute() many times,
-// skipping the analytic models and the partition solve.
+// A SerialPlan holds every decision of one single-threaded run (width,
+// tile, blocking, packing, tile kernels, fused flags, arena layout). It is
+// trivially copyable, so gemm_serial builds one on the stack, and it is
+// all detail::execute_serial reads. A GemmPlan (plan_create) adds the
+// worker count, the watchdog period and, for a parallel plan, one cell per
+// thread of the Tm x Tn grid: its block's offset in C and a SerialPlan of
+// the block. One builder makes every serial plan and cell, from the
+// machine and tile the call resolved once.
 //
 // plan_execute runs the exact same loop nest as the per-call driver, so
 // results are bitwise identical to a direct gemm() with the same Config.
@@ -18,11 +18,12 @@
 // rounds from independent callers overlap (core/threadpool.h).
 //
 // Tuned blockings (tuning/table.h) reach plans through one immutable
-// override snapshot that plan_create reads (publish_tuned below), so a
+// override snapshot that the builder reads (publish_tuned below), so a
 // caller-held plan and a gemm call of the same shape pick up the same
 // blocking.
 #pragma once
 
+#include <type_traits>
 #include <vector>
 
 #include "common/matrix.h"
@@ -31,19 +32,19 @@
 
 namespace shalom {
 
-/// Immutable execution plan for one (mode, M, N, K, Config) GEMM shape.
+/// Which kernel runs each tile: the vectorized kern_main family (full tiles
+/// when `main`, remainder tiles when `edges` too) or kern_scalar.
+struct TileKernels {
+  bool main = true;
+  bool edges = true;
+};
+
+/// Immutable single-threaded plan for one (mode, M, N, K, Config) shape.
 /// Scalars (alpha/beta) and operand pointers stay runtime arguments.
 template <typename T>
-struct GemmPlan {
+struct SerialPlan {
   Mode mode{};
   index_t m = 0, n = 0, k = 0;
-  /// Resolved worker count (never 0). 1 = serial plan.
-  int threads = 1;
-  /// Watchdog period snapshotted from Config::watchdog_ms at creation
-  /// (0 disables; see core/threadpool.h). Applied to every parallel
-  /// round this plan runs.
-  int watchdog_ms = 0;
-
   /// Vector width in bits of the kernels the plan dispatches: 128 for
   /// every gemm plan; wide::gemm_wide plans 256- and 512-bit FP32 tiles.
   int width = 128;
@@ -52,25 +53,38 @@ struct GemmPlan {
   /// Cache blocking. A small NN plan (B L1-resident, full optimizations)
   /// is one block {M, K, N} with nothing packed.
   model::Blocking blk{};
-  model::PackDecision pack{};
-  bool a_packed = false, b_packed = false;
+  model::PackDecision pack{};  ///< kNone = the operand is read in place
+  /// Gated by the selfcheck verdicts (common/selfcheck.h); a quarantined
+  /// main family clears `kern` and `pack`: kern_scalar runs in place.
+  TileKernels kern{};
   /// Fused-pack eligibility (paper Sections 4.3 / 5.3), resolved once.
   bool a_fused = false, b_fusable = false;
-  bool optimized_edges = true;
-  /// Quarantine routing (common/selfcheck.h): the main kernel family this
-  /// plan would dispatch failed its selfcheck probe, so nothing is packed
-  /// and every tile runs kern_scalar in place.
-  bool force_scalar_kernels = false;
-
   /// Pack-arena layout: [Ac panel][slack][Bc sliver 0][Bc sliver 1].
   index_t ac_elems = 0, bc_sliver = 0;
-  std::size_t arena_bytes = 0;
+};
 
-  /// Parallel snapshot (threads > 1): thread grid, tile-aligned row/col
-  /// boundaries, and one serial sub-plan per cell (empty cells have m==0).
-  model::Partition part{};
-  std::vector<index_t> rows, cols;
-  std::vector<GemmPlan<T>> sub;
+static_assert(std::is_trivially_copyable_v<SerialPlan<float>> &&
+              std::is_trivially_copyable_v<SerialPlan<double>>);
+
+/// Immutable execution plan for one (mode, M, N, K, Config) GEMM shape.
+/// A parallel plan's own SerialPlan fields hold only the shape and tile.
+template <typename T>
+struct GemmPlan : SerialPlan<T> {
+  /// One thread's block of C: rows i0 + [0, m), columns j0 + [0, n).
+  struct Cell {
+    index_t i0 = 0, j0 = 0;
+    SerialPlan<T> plan;
+  };
+
+  /// Config::watchdog_ms at creation (0 disables; core/threadpool.h),
+  /// applied to every parallel round this plan runs.
+  int watchdog_ms = 0;
+  std::vector<Cell> cells;  ///< row-major over the grid; empty if serial
+
+  /// Worker count: one per cell, 1 for a serial plan.
+  int threads() const {
+    return cells.empty() ? 1 : static_cast<int>(cells.size());
+  }
 };
 
 /// Builds a plan. cfg.threads == 0 resolves to all host cores; the
@@ -120,28 +134,29 @@ void check_gemm_args(Mode mode, index_t M, index_t N, index_t K, const T* A,
                      index_t lda, const T* B, index_t ldb, const T* C,
                      index_t ldc);
 
-/// plan_execute without the argument re-validation: the gemm entry
-/// points check once up front and then dispatch here.
+/// The plan gemm_serial runs: plan_create's builder at one thread (tuned
+/// lookup included), without re-validating the arguments.
 template <typename T>
-void execute_plan(const GemmPlan<T>& plan, T alpha, const T* A, index_t lda,
-                  const T* B, index_t ldb, T beta, T* C, index_t ldc);
+SerialPlan<T> plan_serial(Mode mode, index_t M, index_t N, index_t K,
+                          const Config& cfg);
 
-/// Runs the one serial loop nest of a threads==1 plan (no validation, no
-/// trivial-case handling beyond what the loops themselves do). A failed
-/// pack-arena reservation re-runs the nest with in-place operand access.
+/// Runs the one serial loop nest of a plan (no validation). M, N or K = 0,
+/// or alpha = 0, only scales C. A failed pack-arena reservation re-runs
+/// the nest with in-place operand access. Never pass a GemmPlan with
+/// cells: its own SerialPlan fields carry no blocking.
 template <typename T>
-void execute_serial(const GemmPlan<T>& plan, T alpha, const T* A,
+void execute_serial(const SerialPlan<T>& plan, T alpha, const T* A,
                     index_t lda, const T* B, index_t ldb, T beta, T* C,
                     index_t ldc);
 
 /// The plan wide::gemm_wide<bits> runs: FP32 NN with both operands
 /// packed at the width's analytic tile (paper Section 5.5), cache-blocked
-/// for `mach`, through the same quarantine gate and arena layout as a
-/// gemm plan. bits is 128, 256 or 512.
-GemmPlan<float> plan_wide(int bits, index_t M, index_t N, index_t K,
-                          const arch::MachineDescriptor& mach);
+/// for `mach`, from the same builder as a gemm plan. bits is 128, 256 or
+/// 512.
+SerialPlan<float> plan_wide(int bits, index_t M, index_t N, index_t K,
+                            const arch::MachineDescriptor& mach);
 
-/// C *= beta (beta==0 writes zeros without reading C).
+/// C *= beta (beta==0 writes zeros without reading C; empty C untouched).
 template <typename T>
 void scale_c(index_t M, index_t N, T beta, T* C, index_t ldc);
 

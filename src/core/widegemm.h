@@ -13,8 +13,8 @@
 //     512 b     16           15 x 16          15.48
 //
 // (test_widegemm.cpp asserts the solver yields these tiles.) Nothing here
-// is a second kernel or loop nest: detail::plan_wide plans the call with
-// both operands packed at the width's tile, and the plan runs through
+// is a second kernel or loop nest: detail::plan_wide plans the call as a
+// SerialPlan with both operands packed at the width's tile, which runs in
 // gemm's own serial loop nest and kern_main, instantiated at the width
 // (broadcast-from-memory A at 256 and 512 bits). Quarantine of the width's
 // families and the pack-arena audit come with that nest. The small-matrix

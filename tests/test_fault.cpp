@@ -293,7 +293,8 @@ TEST_F(FaultTest, PackArenaFallbackHonoursQuarantine) {
   Config cfg;
   cfg.threads = 1;
   cfg.kc_override = K;
-  ASSERT_TRUE(plan_create<float>({Trans::N, Trans::N}, M, N, K, cfg).b_packed);
+  ASSERT_NE(plan_create<float>({Trans::N, Trans::N}, M, N, K, cfg).pack.b,
+            model::PackPlan::kNone);
 
   selfcheck::reset_for_testing();
   selfcheck::quarantine(selfcheck::Variant::kMainF32DirectDirect);

@@ -166,7 +166,7 @@ TEST(GemmStress, ConcurrentParallelPlanExecution) {
   Config cfg;
   cfg.threads = 4;
   const GemmPlan<float> plan = plan_create<float>(mode, m, n, k, cfg);
-  if (plan.threads <= 1)
+  if (plan.threads() <= 1)
     GTEST_SKIP() << "partition collapsed to serial on this machine";
 
   constexpr int kCallers = 6;

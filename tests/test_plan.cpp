@@ -5,9 +5,16 @@
 // both gemm and caller-held plans of its exact shape.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <thread>
 #include <vector>
 
+#include "common/aligned_buffer.h"
 #include "common/error.h"
+#include "common/fault.h"
+#include "common/selfcheck.h"
 #include "core/plan.h"
 #include "core/shalom.h"
 #include "tests/test_util.h"
@@ -147,18 +154,105 @@ TEST(GemmPlan, DistinctConfigsGetDistinctPlans) {
       plan_create<float>(mode, 16, 20, 12, no_select);
   // A small NN plan is one block over the whole problem with nothing
   // packed, and blocking overrides leave it alone.
-  EXPECT_FALSE(plain.a_packed || plain.b_packed);
+  EXPECT_EQ(plain.pack.a, model::PackPlan::kNone);
+  EXPECT_EQ(plain.pack.b, model::PackPlan::kNone);
   EXPECT_EQ(plain.blk.mc, 16);
   EXPECT_EQ(plain.blk.kc, 12);
   EXPECT_EQ(plain.blk.nc, 20);
   EXPECT_EQ(plan_create<float>(mode, 16, 20, 12, kc4).blk.kc, 12);
-  EXPECT_TRUE(packed.a_packed && packed.b_packed);
+  EXPECT_NE(packed.pack.a, model::PackPlan::kNone);
+  EXPECT_NE(packed.pack.b, model::PackPlan::kNone);
 
   const Mode tn{Trans::T, Trans::N};  // never a one-block plan
   Config kc8;
   kc8.kc_override = 8;
   EXPECT_EQ(plan_create<float>(tn, 48, 96, 120, kc8).blk.kc, 8);
   EXPECT_NE(plan_create<float>(tn, 48, 96, 120).blk.kc, 8);
+}
+
+// A call that never reaches a kernel - M, N or K = 0, or alpha = 0 - on
+// every entry path: it probes no kernel family, reserves no pack arena on
+// the calling thread, and leaves beta * C. NT packs B, so any kernel call
+// of these shapes would need an arena.
+TEST(GemmPlan, DegenerateCallsProbeNothing) {
+  struct Case {
+    const char* label;
+    index_t m, n, k;
+    float alpha;
+  };
+  const Case cases[] = {
+      {"alpha=0", 24, 20, 16, 0.0f},
+      {"k=0", 24, 20, 0, 1.0f},
+      {"m=0", 0, 20, 16, 1.0f},
+  };
+  enum Path { kGemm, kGemmSerial, kGemmParallel, kHeldSerial, kHeldParallel };
+  const char* const path_names[] = {"gemm", "gemm_serial", "gemm_parallel",
+                                    "held plan (1 thread)",
+                                    "held plan (2 threads)"};
+  const Mode mode{Trans::N, Trans::T};
+  const float beta = 0.5f;
+
+  for (const Case& c : cases) {
+    for (int path = kGemm; path <= kHeldParallel; ++path) {
+      SCOPED_TRACE(::testing::Message()
+                   << c.label << " via " << path_names[path]);
+      testing::Problem<float> p(mode, c.m, c.n, c.k);
+      const index_t lda = std::max<index_t>(1, p.a.ld());
+      const index_t ldb = std::max<index_t>(1, p.b.ld());
+      const index_t ldc = std::max<index_t>(1, p.c.ld());
+      Config cfg;
+      cfg.threads = path == kGemmParallel || path == kHeldParallel ? 2 : 1;
+
+      // Every variant undecided: a kernel family reached now would probe.
+      selfcheck::reset_for_testing();
+      const std::uint64_t before = robustness_stats().selfchecks_run;
+      std::optional<GemmPlan<float>> held;
+      if (path >= kHeldSerial) {
+        held.emplace(plan_create<float>(mode, c.m, c.n, c.k, cfg));
+        // Only a degenerate shape is known at planning time.
+        if (c.alpha != 0.0f) {
+          EXPECT_EQ(robustness_stats().selfchecks_run, before)
+              << "plan_create probed a kernel family";
+        }
+      }
+      const std::uint64_t probes = robustness_stats().selfchecks_run;
+
+      // A fresh thread's pack arena is empty until a kernel call needs it.
+      std::size_t arena_capacity = 0;
+      std::thread caller([&] {
+        const float* a = p.a.data();
+        const float* b = p.b.data();
+        float* cc = p.c.data();
+        switch (path) {
+          case kGemm:
+            gemm(mode.a, mode.b, c.m, c.n, c.k, c.alpha, a, lda, b, ldb,
+                 beta, cc, ldc);
+            break;
+          case kGemmSerial:
+            gemm_serial(mode, c.m, c.n, c.k, c.alpha, a, lda, b, ldb, beta,
+                        cc, ldc, cfg);
+            break;
+          case kGemmParallel:
+            gemm_parallel(mode, c.m, c.n, c.k, c.alpha, a, lda, b, ldb, beta,
+                          cc, ldc, cfg);
+            break;
+          default:
+            plan_execute(*held, c.alpha, a, lda, b, ldb, beta, cc, ldc);
+        }
+        arena_capacity = thread_pack_arena().capacity();
+      });
+      caller.join();
+
+      EXPECT_EQ(robustness_stats().selfchecks_run, probes)
+          << "a call that reaches no kernel probed a kernel family";
+      EXPECT_EQ(arena_capacity, 0u);
+      Matrix<float> expected = p.c_ref;
+      for (index_t i = 0; i < c.m; ++i)
+        for (index_t j = 0; j < c.n; ++j) expected(i, j) *= beta;
+      expect_bitwise_equal(p.c, expected, c.m, c.n, "beta * C");
+    }
+  }
+  selfcheck::reset_for_testing();
 }
 
 /// Restores the analytic blocking even when an assertion bails out.
@@ -227,9 +321,9 @@ TEST(GemmPlan, PublishedTunedBlockingIsPickedUp) {
   EXPECT_EQ(plan_create<float>(mode, m, n, k + 1).blk.kc, kc_other_k);
   EXPECT_EQ(plan_create<float>(mode, m, n, k, no_fuse).blk.kc, kc_no_fuse);
   const GemmPlan<float> split_after = plan_create<float>(mode, m, n, k, two);
-  ASSERT_EQ(split_after.sub.size(), split.sub.size());
-  for (std::size_t i = 0; i < split.sub.size(); ++i)
-    EXPECT_EQ(split_after.sub[i].blk.kc, split.sub[i].blk.kc);
+  ASSERT_EQ(split_after.cells.size(), split.cells.size());
+  for (std::size_t i = 0; i < split.cells.size(); ++i)
+    EXPECT_EQ(split_after.cells[i].plan.blk.kc, split.cells[i].plan.blk.kc);
 
   reset_tuned();
   EXPECT_EQ(plan_create<float>(mode, m, n, k).blk.kc, analytic.kc);

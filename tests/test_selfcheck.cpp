@@ -17,10 +17,12 @@
 #include <limits>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "baselines/naive.h"
 #include "common/fault.h"
+#include "common/health.h"
 #include "common/selfcheck.h"
 #include "common/selfcheck_probe.h"
 #include "core/shalom.h"
@@ -328,18 +330,20 @@ TEST_F(QuarantineTest, WideGemmFallsBackToScalar) {
   EXPECT_EQ(selfcheck::status(selfcheck::Variant::kMainF32PackedPacked256),
             selfcheck::Status::kQuarantined);
   EXPECT_GT(robustness_stats().kernels_quarantined, 0u);
+  // One k-block, so the scalar route's accumulation order is naive's.
+  ASSERT_GE(detail::plan_wide(256, M, N, K, arch::host_machine()).blk.kc, K);
   p.run_reference(1.5f, 0.5f);
-  p.expect_matches("quarantined wide gemm");
+  expect_bitwise(p.c, p.c_ref, "quarantined wide gemm");
 
   // A forced probe failure of the 512-bit edge family alone: the plan
-  // keeps its vectorized full tiles (force_scalar_kernels stays false) and
-  // routes every remainder tile to kern_scalar (optimized_edges is the
-  // executor's only switch for that), and the result still matches naive.
+  // keeps its vectorized full tiles (kern.main stays true) and routes
+  // every remainder tile to kern_scalar (kern.edges is the executor's
+  // only switch for that), and the result is still bitwise naive's.
   reset_selfcheck_world();
   ASSERT_TRUE(
       selfcheck::variant_ok(selfcheck::Variant::kMainF32PackedPacked512));
   fault::arm(fault::Site::kSelfcheckProbe, fault::Mode::kEveryN, 1);
-  const GemmPlan<float> plan =
+  const SerialPlan<float> plan =
       detail::plan_wide(512, M, N, K, arch::host_machine());
   fault::disarm_all();
   EXPECT_EQ(selfcheck::status(selfcheck::Variant::kEdgeF32PackedPacked512),
@@ -347,9 +351,11 @@ TEST_F(QuarantineTest, WideGemmFallsBackToScalar) {
   EXPECT_EQ(selfcheck::status(selfcheck::Variant::kMainF32PackedPacked512),
             selfcheck::Status::kVerified);
   EXPECT_EQ(plan.width, 512);
-  EXPECT_FALSE(plan.force_scalar_kernels);
-  EXPECT_FALSE(plan.optimized_edges);
-  EXPECT_TRUE(plan.a_packed && plan.b_packed);
+  EXPECT_TRUE(plan.kern.main);
+  EXPECT_FALSE(plan.kern.edges);
+  EXPECT_NE(plan.pack.a, model::PackPlan::kNone);
+  EXPECT_NE(plan.pack.b, model::PackPlan::kNone);
+  ASSERT_GE(plan.blk.kc, K);
   // M and N are off the 15x16 tile, so remainder tiles exist.
   EXPECT_NE(M % plan.tile.mr, 0);
   EXPECT_NE(N % plan.tile.nr, 0);
@@ -357,17 +363,99 @@ TEST_F(QuarantineTest, WideGemmFallsBackToScalar) {
   testing::Problem<float> q({Trans::N, Trans::N}, M, N, K);
   wide::gemm_wide<512>(M, N, K, 1.5f, q.a.data(), q.a.ld(), q.b.data(),
                        q.b.ld(), 0.5f, q.c.data(), q.c.ld());
-  EXPECT_FALSE(detail::plan_wide(512, M, N, K, arch::host_machine())
-                   .optimized_edges)
+  EXPECT_FALSE(
+      detail::plan_wide(512, M, N, K, arch::host_machine()).kern.edges)
       << "the quarantine verdict must outlive the call";
   q.run_reference(1.5f, 0.5f);
-  q.expect_matches("wide gemm with a quarantined edge family");
+  expect_bitwise(q.c, q.c_ref, "wide gemm with a quarantined edge family");
+}
+
+/// One kern_main family and a call that plans through it.
+struct ScalarRouteCase {
+  selfcheck::Variant family;
+  Mode mode;
+  bool selective_packing;
+  /// 0 = a gemm call; 256 or 512 = wide::gemm_wide at that width.
+  int width;
+  /// Fails the pack-arena reservation: the in-place re-run is the only
+  /// plan that dispatches the transposed-A family.
+  bool arena_fails;
+};
+
+template <typename T>
+void check_scalar_route(const ScalarRouteCase& c) {
+  SCOPED_TRACE(selfcheck::variant_name(c.family));
+  if (c.arena_fails && !SHALOM_FAULT_INJECTION) return;  // site compiled out
+  reset_selfcheck_world();
+  const index_t M = 25, N = 40, K = 33;
+  testing::Problem<T> p(c.mode, M, N, K);
+  const T alpha = static_cast<T>(1.25), beta = static_cast<T>(-0.5);
+
+  Config cfg;
+  cfg.threads = 1;
+  cfg.kc_override = K;  // one k-block: naive's accumulation order
+  cfg.selective_packing = c.selective_packing;
+  selfcheck::quarantine(c.family);
+  const SerialPlan<T> plan = [&]() -> SerialPlan<T> {
+    if constexpr (std::is_same_v<T, float>) {
+      if (c.width != 0)
+        return detail::plan_wide(c.width, M, N, K, arch::host_machine());
+    }
+    return plan_create<T>(c.mode, M, N, K, cfg);
+  }();
+  ASSERT_GE(plan.blk.kc, K);
+  // The plan routes around the family; the transposed-A family is only
+  // dispatched by the in-place re-run after a failed arena reservation.
+  EXPECT_EQ(plan.kern.main, c.arena_fails);
+
+  if (c.arena_fails)
+    fault::arm(fault::Site::kAllocPackArena, fault::Mode::kEveryN, 1);
+  if (c.width == 0) {
+    gemm(c.mode.a, c.mode.b, M, N, K, alpha, p.a.data(), p.a.ld(),
+         p.b.data(), p.b.ld(), beta, p.c.data(), p.c.ld(), cfg);
+  } else if constexpr (std::is_same_v<T, float>) {
+    detail::execute_serial(plan, alpha, p.a.data(), p.a.ld(), p.b.data(),
+                           p.b.ld(), beta, p.c.data(), p.c.ld());
+  }
+  fault::disarm_all();
+  EXPECT_EQ(selfcheck::status(c.family), selfcheck::Status::kQuarantined);
+  health::reset_for_testing();  // the kernels component saw a trap cause
+
+  p.run_reference(alpha, beta);
+  expect_bitwise(p.c, p.c_ref, "scalar route vs naive");
+}
+
+// Every dtype x access pair x width kern_main family, quarantined, routes
+// its plan's tiles to kern_scalar, which rounds exactly like naive_gemm.
+TEST_F(QuarantineTest, EveryFamilyScalarRouteIsBitwiseNaive) {
+  using V = selfcheck::Variant;
+  const Mode nn{Trans::N, Trans::N}, nt{Trans::N, Trans::T},
+      tn{Trans::T, Trans::N};
+  // B of 33 x 40 floats fits a 32 KB L1 unpacked; NT always packs B.
+  const ScalarRouteCase f32[] = {
+      {V::kMainF32DirectDirect, nn, true, 0, false},
+      {V::kMainF32DirectPacked, nt, true, 0, false},
+      {V::kMainF32PackedDirect, tn, true, 0, false},
+      {V::kMainF32PackedPacked, nn, false, 0, false},
+      {V::kMainF32TransDirect, tn, true, 0, true},
+      {V::kMainF32PackedPacked256, nn, true, 256, false},
+      {V::kMainF32PackedPacked512, nn, true, 512, false},
+  };
+  const ScalarRouteCase f64[] = {
+      {V::kMainF64DirectDirect, nn, true, 0, false},
+      {V::kMainF64DirectPacked, nt, true, 0, false},
+      {V::kMainF64PackedDirect, tn, true, 0, false},
+      {V::kMainF64PackedPacked, nn, false, 0, false},
+      {V::kMainF64TransDirect, tn, true, 0, true},
+  };
+  for (const ScalarRouteCase& c : f32) check_scalar_route<float>(c);
+  for (const ScalarRouteCase& c : f64) check_scalar_route<double>(c);
 }
 
 TEST_F(QuarantineTest, PlansBuiltAfterQuarantineStayCorrect) {
   // Quarantine first, then plan the same shape repeatedly: every plan
-  // snapshots force_scalar_kernels and every execution must agree with
-  // naive.
+  // snapshots the scalar kernel choice and every execution must agree
+  // with naive.
   const index_t M = 48, N = 56, K = 20;
   fault::arm(fault::Site::kSelfcheckProbe, fault::Mode::kEveryN, 1);
   EXPECT_GT(shalom_selftest(), 0);
